@@ -348,7 +348,7 @@ def getitem(x, key):
     x = as_tensor(x)
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[key] = g
+        np.add.at(gx, key, g)  # repeated fancy indices accumulate
         return (gx,)
     return _make(x.data[key], (x,), backward)
 
@@ -464,9 +464,9 @@ def _zpad(x, pads):
 
 
 def _check_kernel(kernel, cin, ndim_spatial, name):
-    k = kernel.data.shape[2]
     if kernel.data.ndim != 2 + ndim_spatial:
         raise DimensionError(f"{name} kernel must have rank {2 + ndim_spatial}")
+    k = kernel.data.shape[2]
     if any(s != k for s in kernel.data.shape[2:]):
         raise DimensionError(f"{name} kernel must be square, got {kernel.shape}")
     if k % 2 != 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -77,7 +77,6 @@ class RunConfig:
     sparse_count: int | None = 300
     sparse_fraction: float | None = None
     eval_range: tuple | None = None
-    resample_sparse: bool = True
 
 
 _SECTIONS = {
@@ -134,6 +133,8 @@ def validate_config(cfg):
         raise ConfigError("at least one loss term must be enabled")
     if (cfg.sparse_count is None) == (cfg.sparse_fraction is None):
         raise ConfigError("exactly one of sparse_count / sparse_fraction must be set")
+    if cfg.sparse_count is not None and cfg.sparse_count < 1:
+        raise ConfigError(f"sparse_count must be >= 1, got {cfg.sparse_count}")
     if cfg.sparse_fraction is not None and not (0 < cfg.sparse_fraction <= 1):
         raise ConfigError("sparse_fraction must lie in (0, 1]")
     if cfg.eval_range is not None:
@@ -163,48 +164,7 @@ def parse_config(path):
     return config_from_dict(raw)
 
 
-def config_to_dict(cfg):
-    return {
-        "planes": {"count": cfg.planes.count, "d_min": cfg.planes.d_min, "d_max": cfg.planes.d_max},
-        "channels": cfg.channels,
-        "image_channels": list(cfg.image_channels),
-        "downscale": cfg.downscale,
-        "mode": cfg.mode,
-        "refinement": cfg.refinement,
-        "refine_iterations": cfg.refine_iterations,
-        "refine_channels": cfg.refine_channels,
-        "residual": cfg.residual,
-        "heads": cfg.heads,
-        "share_self_attention": cfg.share_self_attention,
-        "mask_invalid_previous": cfg.mask_invalid_previous,
-        "temporal_grad": cfg.temporal_grad,
-        "loss": {
-            "use_l1": cfg.loss.use_l1,
-            "use_l2": cfg.loss.use_l2,
-            "use_ce": cfg.loss.use_ce,
-            "spn_l1": cfg.loss.spn_l1,
-        },
-        "optimizer": {
-            "learning_rate": cfg.optimizer.learning_rate,
-            "weight_decay": cfg.optimizer.weight_decay,
-            "milestones": list(cfg.optimizer.milestones),
-            "epochs": cfg.optimizer.epochs,
-        },
-        "paths": {
-            "sequence_dir": cfg.paths.sequence_dir,
-            "out_dir": cfg.paths.out_dir,
-            "checkpoint": cfg.paths.checkpoint,
-            "scene": cfg.paths.scene,
-        },
-        "seed": cfg.seed,
-        "sparse_count": cfg.sparse_count,
-        "sparse_fraction": cfg.sparse_fraction,
-        "eval_range": list(cfg.eval_range) if cfg.eval_range is not None else None,
-        "resample_sparse": cfg.resample_sparse,
-    }
-
-
 def save_config(path, cfg):
     with open(path, "w") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), f, indent=2, sort_keys=True)
         f.write("\n")

@@ -1,18 +1,19 @@
 """Desk-scale experiment protocols shared by the runnable scripts and the
-acceptance suite: single-frame overfitting, fused-vs-single-view comparison,
-and sparsity robustness.  All of them run on the procedural scenes, so every
-number is reproducible from a seed."""
+tests: single-frame overfitting, fused-vs-single-view comparison, and
+sparsity robustness.  All of them run on the procedural scenes, so every
+number is reproducible from a seed, and all of them train and evaluate
+through harness's one training driver and one streaming loop."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from . import autodiff as ad
 from . import synth, training
 from .config import LossConfig, OptimizerConfig, PlanesConfig, RunConfig, validate_config
-from .harness import sparse_inputs, sparse_sample_count
-from .metrics import compute_metrics
-from .pipeline import forward_frame, init_parameters
+from .harness import sparse_inputs, stream_frames, train_frames
+from .pipeline import init_parameters
 
 DESK_PLANES = PlanesConfig(count=8, d_min=1.0, d_max=6.0)
 
@@ -35,37 +36,13 @@ def desk_config(**overrides):
 def render_frames(seed, width=64, height=48, count=8, step=0.04):
     """All frames of the default scene for a seed, with dense ground truth."""
     spec, K = synth.default_scene(seed, width=width, height=height, frame_count=count, step=step)
-    frames = [synth.render_frame(spec, t, K) for t in range(count)]
-    return [(img, dense, pose) for img, dense, pose in frames], K
+    return [synth.render_frame(spec, t, K) for t in range(count)], K
 
 
-def train_model(cfg, frames, K, init_seed=None, epochs=None):
-    """Train on one rendered sequence with per-epoch sparse resampling."""
-    epochs = cfg.optimizer.epochs if epochs is None else epochs
-    gts = [dense for _, dense, _ in frames]
-    params = init_parameters(cfg, seed=init_seed)
-    state = training.init_optimizer(params, cfg.optimizer)
-    trace = training.LossTrace()
-    for epoch in range(epochs):
-        inputs = sparse_inputs(cfg, frames, epoch=epoch)
-        params, piece = training.train_sequence(inputs, gts, K, params, state, cfg, epochs=1)
-        trace.rows.extend((epoch, f, l1, ce, tot) for _, f, l1, ce, tot in piece.rows)
-        trace.epoch_means.extend(piece.epoch_means)
-    return params, trace
-
-
-def evaluate_sequence(cfg, params, frames, K, sample_count=None):
+def evaluate_sequence(cfg, params, frames, K):
     """Stream the sequence through the trained model; per-frame MAE against
-    the dense ground truth within the plane range."""
-    state = None
-    maes = []
-    with ad.no_grad():
-        for t, (img, dense, pose) in enumerate(frames):
-            n = sample_count if sample_count is not None else sparse_sample_count(cfg, dense)
-            sparse = synth.sample_sparse(dense, min(n, dense.valid_count), [cfg.seed, t])
-            result, state = forward_frame(img, sparse, pose, state, params, cfg, K)
-            maes.append(compute_metrics(result.output, dense, cfg.planes.d_min, cfg.planes.d_max).mae)
-    return maes
+    the dense ground truth within the evaluation range."""
+    return [m.mae for _, _, m in stream_frames(cfg, params, frames, K)]
 
 
 # -- protocols -------------------------------------------------------------------
@@ -85,14 +62,11 @@ def overfit_run(seed=0, steps=500, loss=None, sparse_count=30):
         seed=seed,
     )
     frames, K = render_frames(seed, width=32, height=32, count=1)
-    img, dense, pose = frames[0]
-    sparse = synth.sample_sparse(dense, sparse_count, [seed, 0])
-    params = init_parameters(cfg, seed=seed)
+    params = init_parameters(cfg)
     state = training.init_optimizer(params, cfg.optimizer)
-    params, trace = training.train_sequence([(img, sparse, pose)], [dense], K, params, state, cfg, epochs=steps)
-    with ad.no_grad():
-        result, _ = forward_frame(img, sparse, pose, None, params, cfg, K)
-    mae = compute_metrics(result.output, dense, cfg.planes.d_min, cfg.planes.d_max).mae
+    gt = [dense for _, dense, _ in frames]
+    params, trace = training.train_sequence(sparse_inputs(cfg, frames), gt, K, params, state, cfg, epochs=steps)
+    (mae,) = evaluate_sequence(cfg, params, frames, K)
     return mae, [row[4] for row in trace.rows]
 
 
@@ -111,7 +85,7 @@ def fusion_benefit_run(seed, epochs=40):
             ),
             seed=seed,
         )
-        params, _ = train_model(cfg, frames, K, init_seed=seed, epochs=epochs)
+        params, _, _ = train_frames(cfg, frames, K, epochs=epochs)
         maes = evaluate_sequence(cfg, params, frames, K)
         out[mode] = float(np.mean(maes[1:]))
     return out["fused"], out["single_view"]
@@ -131,17 +105,7 @@ def sparsity_robustness_run(seeds=(0, 1), train_fraction=0.005, eval_fractions=(
             ),
             seed=seed,
         )
-        params, _ = train_model(cfg, frames, K, init_seed=seed, epochs=epochs)
+        params, _, _ = train_frames(cfg, frames, K, epochs=epochs)
         for frac in eval_fractions:
-            counts = [max(1, round(frac * dense.valid_count)) for _, dense, _ in frames]
-            maes = []
-            state = None
-            with ad.no_grad():
-                for t, (img, dense, pose) in enumerate(frames):
-                    sparse = synth.sample_sparse(dense, counts[t], [cfg.seed, t])
-                    result, state = forward_frame(img, sparse, pose, state, params, cfg, K)
-                    maes.append(
-                        compute_metrics(result.output, dense, cfg.planes.d_min, cfg.planes.d_max).mae
-                    )
-            totals[frac].extend(maes)
+            totals[frac].extend(evaluate_sequence(replace(cfg, sparse_fraction=frac), params, frames, K))
     return {f: float(np.mean(v)) for f, v in totals.items()}

@@ -183,6 +183,46 @@ def _from_rays(rays, shape):
     return ad.transpose(ad.reshape(rays, (h, w, d, c)), (2, 3, 0, 1))
 
 
+def _fuse(current, previous_aligned, params, whole_volume, *, residual, heads, share_self_attention,
+          mask_invalid_previous):
+    """The fusion core.  Tokens are grouped per ray, (H*W, D, C), or with
+    ``whole_volume`` into one group of every voxel, (1, D*H*W, C); attention
+    runs within each group, so only the score-buffer size differs."""
+    d, c, h, w = current.features.shape
+    if previous_aligned is not None and previous_aligned.features.shape != (d, c, h, w):
+        raise DimensionError(
+            f"volume shapes disagree: {current.features.shape} vs {previous_aligned.features.shape}"
+        )
+    groups = (1, h * w * d) if whole_volume else (h * w, d)
+    sa_block, sa_prev_block, cross_block = fusion_blocks(params, share_self_attention)
+    pe = depth_positional_encoding(d, c)
+
+    def tokens(features):
+        x = _to_rays(features) + pe
+        return ad.reshape(x, groups + (c,)) if whole_volume else x
+
+    g_cur = pre_fusion_convs(current, params)
+    x_cur = tokens(g_cur.features)
+    fused = attention(x_cur, x_cur, x_cur, sa_block, heads=heads)
+    if previous_aligned is not None:
+        x_prev = tokens(pre_fusion_convs(previous_aligned, params).features)
+        sa_prev = attention(x_prev, x_prev, x_prev, sa_prev_block, heads=heads)
+        key_bias = any_valid = None
+        if mask_invalid_previous and previous_aligned.validity is not None:
+            vmask = previous_aligned.validity.transpose(1, 2, 0).reshape(groups)
+            key_bias = np.where(vmask, 0.0, -_MASK_PENALTY)[:, None, :]
+            any_valid = vmask.any(axis=1).astype(np.float64)[:, None, None]
+        fused = attention(fused, sa_prev, sa_prev, cross_block, heads=heads, score_bias=key_bias)
+        if any_valid is not None:
+            fused = fused * Tensor(any_valid)
+    if whole_volume:
+        fused = ad.reshape(fused, (h * w, d, c))
+    out = _from_rays(fused, (d, c, h, w))
+    if residual:
+        out = out + g_cur.features
+    return CostVolume(current.planes, out)
+
+
 def fuse_volumes(
     current,
     previous_aligned,
@@ -192,91 +232,20 @@ def fuse_volumes(
     heads=1,
     share_self_attention=False,
     mask_invalid_previous=False,
-    ray_order=None,
-    ray_chunk=None,
 ):
     """Fuse the current cost volume with the aligned previous one, ray by ray.
 
     With ``previous_aligned`` None (first frame / single-view mode) only the
-    current volume's self-attention runs.  ``ray_order`` permutes the ray
-    processing order and ``ray_chunk`` bounds rays in flight; neither changes
-    the result.
+    current volume's self-attention runs.
     """
-    d, c, h, w = current.features.shape
-    if previous_aligned is not None and previous_aligned.features.shape != (d, c, h, w):
-        raise DimensionError(
-            f"volume shapes disagree: {current.features.shape} vs {previous_aligned.features.shape}"
-        )
-    sa_block, sa_prev_block, cross_block = fusion_blocks(params, share_self_attention)
-    g_cur = pre_fusion_convs(current, params)
-    pe = depth_positional_encoding(d, c)
-    x_cur = _to_rays(g_cur.features) + pe
-
-    x_prev = None
-    key_bias = None
-    any_valid = None
-    if previous_aligned is not None:
-        g_prev = pre_fusion_convs(previous_aligned, params)
-        x_prev = _to_rays(g_prev.features) + pe
-        if mask_invalid_previous and previous_aligned.validity is not None:
-            vmask = previous_aligned.validity.transpose(1, 2, 0).reshape(h * w, d)
-            key_bias = np.where(vmask, 0.0, -_MASK_PENALTY)[:, None, :]
-            any_valid = vmask.any(axis=1).astype(np.float64)[:, None, None]
-
-    n = h * w
-    if ray_order is None:
-        ray_order = np.arange(n)
-    else:
-        ray_order = np.asarray(ray_order)
-    inverse = np.argsort(ray_order)
-    chunk = n if ray_chunk is None else int(ray_chunk)
-
-    def run(rays_slice):
-        xq = x_cur[ray_order[rays_slice]]
-        sa_cur = attention(xq, xq, xq, sa_block, heads=heads)
-        if x_prev is None:
-            return sa_cur
-        xp = x_prev[ray_order[rays_slice]]
-        sa_prev = attention(xp, xp, xp, sa_prev_block, heads=heads)
-        bias = None if key_bias is None else key_bias[ray_order[rays_slice]]
-        ca = attention(sa_cur, sa_prev, sa_prev, cross_block, heads=heads, score_bias=bias)
-        if any_valid is not None:
-            ca = ca * Tensor(any_valid[ray_order[rays_slice]])
-        return ca
-
-    pieces = [run(slice(i, min(i + chunk, n))) for i in range(0, n, chunk)]
-    fused = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
-    fused = fused[inverse]
-    out = _from_rays(fused, (d, c, h, w))
-    if residual:
-        out = out + g_cur.features
-    return CostVolume(current.planes, out)
+    return _fuse(current, previous_aligned, params, False, residual=residual, heads=heads,
+                 share_self_attention=share_self_attention, mask_invalid_previous=mask_invalid_previous)
 
 
 def fuse_volumes_naive(current, previous_aligned, params, *, residual=True, heads=1, share_self_attention=False):
-    """Whole-volume attention reference path: every voxel of a volume is a
-    token, so score buffers hold (D*H*W)^2 entries.  Only meant for small
-    benchmark sizes; numerically it is a different estimator, not an oracle
-    for the ray-wise path."""
-    d, c, h, w = current.features.shape
-    sa_block, sa_prev_block, cross_block = fusion_blocks(params, share_self_attention)
-    g_cur = pre_fusion_convs(current, params)
-    pe_vox = np.repeat(depth_positional_encoding(d, c).data, h * w, axis=0)
-
-    def tokens(volume):
-        flat = ad.reshape(ad.transpose(volume.features, (0, 2, 3, 1)), (d * h * w, c))
-        return ad.reshape(flat + Tensor(pe_vox), (1, d * h * w, c))
-
-    x_cur = tokens(g_cur)
-    sa_cur = attention(x_cur, x_cur, x_cur, sa_block, heads=heads)
-    if previous_aligned is None:
-        fused = sa_cur
-    else:
-        g_prev = pre_fusion_convs(previous_aligned, params)
-        x_prev = tokens(g_prev)
-        sa_prev = attention(x_prev, x_prev, x_prev, sa_prev_block, heads=heads)
-        fused = attention(sa_cur, sa_prev, sa_prev, cross_block, heads=heads)
-    out = ad.transpose(ad.reshape(ad.reshape(fused, (d * h * w, c)), (d, h, w, c)), (0, 3, 1, 2))
-    if residual:
-        out = out + g_cur.features
-    return CostVolume(current.planes, out)
+    """Whole-volume attention: the same fusion core with every voxel of a
+    volume in one token group, so score buffers hold (D*H*W)^2 entries.
+    Where H = W = 1 the two groupings coincide; elsewhere each token attends
+    to more keys than its own ray's.  Only meant for small benchmark sizes."""
+    return _fuse(current, previous_aligned, params, True, residual=residual, heads=heads,
+                 share_self_attention=share_self_attention, mask_invalid_previous=False)

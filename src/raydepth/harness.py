@@ -1,12 +1,11 @@
-"""Sequence-level drivers shared by the CLI and the test suite: streaming
-inference over a sequence directory, the training driver with per-epoch
-sparse resampling, and the full-pipeline gradient check."""
+"""Sequence-level drivers shared by the CLI, the experiment protocols and the
+test suite: the one no-grad streaming frame loop, the one training driver
+with per-epoch sparse resampling, and the full-pipeline gradient check."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
-
-import numpy as np
 
 from . import autodiff as ad
 from . import synth, training
@@ -38,8 +37,24 @@ def eval_range(cfg):
     return (cfg.planes.d_min, cfg.planes.d_max)
 
 
+def stream_frames(cfg, params, frames, K, mode=None):
+    """Stream in-memory (img, dense, pose) frames through the pipeline without
+    recording a graph, carrying the fused volume from frame to frame.
+
+    Yields (t, FrameResult, Metrics against the dense ground truth).
+    Recording is off only inside each forward call, so a paused or abandoned
+    generator leaves its caller's graph recording as it was.
+    """
+    low, high = eval_range(cfg)
+    state = None
+    for t, (img, sparse, pose) in enumerate(sparse_inputs(cfg, frames)):
+        with ad.no_grad():
+            result, state = forward_frame(img, sparse, pose, state, params, cfg, K, mode=mode)
+        yield t, result, compute_metrics(result.output, frames[t][1], low, high)
+
+
 def run_inference(cfg, params, seq_dir=None, out_dir=None, mode=None):
-    """Stream a sequence through the pipeline, carrying the fused volume.
+    """Stream a sequence directory through the pipeline.
 
     Writes depth_%04d.pfm, conf_%04d.pfm, and metrics.csv when ``out_dir``
     is given.  Returns (per-frame metrics, per-frame output DepthMaps).
@@ -48,51 +63,43 @@ def run_inference(cfg, params, seq_dir=None, out_dir=None, mode=None):
     if seq_dir is None:
         raise ParameterError("inference needs a sequence directory")
     frames, K = synth.load_sequence(seq_dir)
-    inputs = sparse_inputs(cfg, frames)
-    low, high = eval_range(cfg)
-    state = None
     rows, outputs = [], []
-    with ad.no_grad():
-        for t, (img, sparse, pose) in enumerate(inputs):
-            result, state = forward_frame(img, sparse, pose, state, params, cfg, K, mode=mode)
-            out = result.output
-            outputs.append(out)
-            rows.append((t, compute_metrics(out, frames[t][1], low, high)))
-            if out_dir is not None:
-                os.makedirs(out_dir, exist_ok=True)
-                write_pfm(os.path.join(out_dir, f"depth_{t:04d}.pfm"), out.depth.data)
-                write_pfm(os.path.join(out_dir, f"conf_{t:04d}.pfm"), result.confidence.data)
+    for t, result, m in stream_frames(cfg, params, frames, K, mode=mode):
+        outputs.append(result.output)
+        rows.append((t, m))
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            write_pfm(os.path.join(out_dir, f"depth_{t:04d}.pfm"), result.output.depth.data)
+            write_pfm(os.path.join(out_dir, f"conf_{t:04d}.pfm"), result.confidence.data)
     if out_dir is not None:
         write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     return rows, outputs
 
 
-def run_training(cfg, seq_dir=None, mode=None, epochs=None):
-    """Train on one sequence directory per the config; returns the params,
-    optimizer state, and the concatenated loss trace."""
-    seq_dir = seq_dir or cfg.paths.sequence_dir
-    if seq_dir is None:
-        raise ParameterError("training needs a sequence directory")
-    frames, K = synth.load_sequence(seq_dir)
+def train_frames(cfg, frames, K, mode=None, epochs=None):
+    """Train on in-memory (img, dense, pose) frames, drawing fresh sparse
+    inputs every epoch; returns the params, optimizer state, and the
+    concatenated loss trace."""
     gt = [dense for _, dense, _ in frames]
     params = init_parameters(cfg)
     opt_state = training.init_optimizer(params, cfg.optimizer)
     epochs = cfg.optimizer.epochs if epochs is None else epochs
     trace = training.LossTrace()
-    if cfg.resample_sparse:
-        for epoch in range(epochs):
-            inputs = sparse_inputs(cfg, frames, epoch=epoch)
-            params, piece = training.train_sequence(
-                inputs, gt, K, params, opt_state, cfg, epochs=1, mode=mode
-            )
-            trace.rows.extend((epoch, f, l1, ce, tot) for _, f, l1, ce, tot in piece.rows)
-            trace.epoch_means.extend(piece.epoch_means)
-    else:
-        inputs = sparse_inputs(cfg, frames)
-        params, trace = training.train_sequence(
-            inputs, gt, K, params, opt_state, cfg, epochs=epochs, mode=mode
-        )
+    for epoch in range(epochs):
+        inputs = sparse_inputs(cfg, frames, epoch=epoch)
+        params, piece = training.train_sequence(inputs, gt, K, params, opt_state, cfg, epochs=1, mode=mode)
+        trace.rows.extend((epoch, f, l1, ce, tot) for _, f, l1, ce, tot in piece.rows)
+        trace.epoch_means.extend(piece.epoch_means)
     return params, opt_state, trace
+
+
+def run_training(cfg, seq_dir=None, mode=None, epochs=None):
+    """Train on one sequence directory per the config; see train_frames."""
+    seq_dir = seq_dir or cfg.paths.sequence_dir
+    if seq_dir is None:
+        raise ParameterError("training needs a sequence directory")
+    frames, K = synth.load_sequence(seq_dir)
+    return train_frames(cfg, frames, K, mode=mode, epochs=epochs)
 
 
 def gradcheck_loss_builder(cfg, n_frames=2, scene_seed=None):
@@ -103,8 +110,6 @@ def gradcheck_loss_builder(cfg, n_frames=2, scene_seed=None):
     gradient and the finite difference measure the same function; streaming
     training detaches it, which a finite-difference probe cannot see.
     """
-    import dataclasses
-
     cfg = dataclasses.replace(cfg, temporal_grad=True)
     size = 4 * cfg.downscale
     spec, K = synth.default_scene(

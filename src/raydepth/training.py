@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,18 +41,6 @@ def soft_labels(values, planes):
     labels[rows, i0] = 1.0 - w_hi
     labels[rows, i0 + 1] += w_hi
     return labels, clamped
-
-
-def soft_label(gt_depth, planes):
-    """Probability vector over planes for one ground-truth depth."""
-    labels, clamped = soft_labels([gt_depth], planes)
-    if clamped:
-        warnings.warn(
-            f"ground-truth depth {gt_depth} outside [{planes.d_min}, {planes.d_max}]; "
-            "clamped to an endpoint plane",
-            stacklevel=2,
-        )
-    return labels[0]
 
 
 # -- losses -----------------------------------------------------------------------

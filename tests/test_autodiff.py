@@ -175,6 +175,10 @@ class TestConv2dAndResampling:
             )
             assert err < 1e-4
 
+    def test_conv2d_rank2_kernel_rejected(self):
+        with pytest.raises(DimensionError, match="rank 4"):
+            ad.conv2d(ad.Tensor(np.zeros((2, 4, 4))), ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(3)))
+
     def test_conv_transpose3d_doubles_extents(self):
         rng = np.random.default_rng(9)
         out = ad.conv_transpose3d(
@@ -253,6 +257,25 @@ class TestElementwiseAndShape:
         arrays = {"x": rng.normal(size=(5, 3))}
         err = fd_check(lambda s: ad.weighted_gather(s["x"], idx, w).sum(), arrays)
         assert err < 1e-4
+
+    def test_repeated_fancy_index_accumulates(self):
+        x = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        x[[0, 0, 2]].sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=20)
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fancy_index_gradient_counts_hits(self, case):
+        n, idx = case
+        x = ad.Tensor(np.zeros(n), requires_grad=True)
+        x[np.array(idx)].sum().backward()
+        np.testing.assert_array_equal(x.grad, np.bincount(idx, minlength=n))
 
     def test_edge_pad_values(self):
         x = ad.Tensor(np.arange(6.0).reshape(2, 3))

@@ -15,7 +15,6 @@ from raydepth.config import (
     PlanesConfig,
     RunConfig,
     config_from_dict,
-    config_to_dict,
     parse_config,
     save_config,
     validate_config,
@@ -57,16 +56,30 @@ class TestConfig:
             parse_config(path)
 
     def test_roundtrip_identity(self, tmp_path):
-        cfg = validate_config(RunConfig(channels=8, seed=3, sparse_count=None, sparse_fraction=0.01))
+        cfg = validate_config(
+            RunConfig(
+                channels=8,
+                seed=3,
+                sparse_count=None,
+                sparse_fraction=0.01,
+                eval_range=(1.0, 5.0),
+                optimizer=OptimizerConfig(milestones=(3, 5)),
+            )
+        )
         path = tmp_path / "cfg.json"
         save_config(path, cfg)
         again = parse_config(path)
-        assert config_to_dict(again) == config_to_dict(cfg)
+        assert again == cfg
 
     def test_missing_input_path_rejected(self):
         raw = {"paths": {"sequence_dir": "/nonexistent/sequence"}}
         with pytest.raises(ConfigError, match="sequence_dir"):
             config_from_dict(raw)
+
+    def test_nonpositive_sparse_count_rejected(self):
+        for count in (0, -5):
+            with pytest.raises(ConfigError, match="sparse_count"):
+                config_from_dict({"sparse_count": count})
 
     def test_bad_downscale(self):
         with pytest.raises(ConfigError):

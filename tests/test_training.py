@@ -25,30 +25,33 @@ def sparse(depth, valid):
 
 class TestSoftLabel:
     def test_exact_plane_hit_is_one_hot(self):
-        np.testing.assert_array_equal(tr.soft_label(2.0, PLANES), [0, 1, 0, 0])
+        (label,), clamped = tr.soft_labels([2.0], PLANES)
+        np.testing.assert_array_equal(label, [0, 1, 0, 0])
+        assert clamped == 0
 
     def test_midpoint_splits_evenly(self):
-        label = tr.soft_label(2.5, PLANES)
+        (label,), _ = tr.soft_labels([2.5], PLANES)
         np.testing.assert_allclose(label, [0, 0.5, 0.5, 0])
         np.testing.assert_allclose(label @ PLANES.depths, 2.5, atol=1e-12)
 
     def test_quarter_split(self):
-        label = tr.soft_label(1.25, PLANES)
+        (label,), _ = tr.soft_labels([1.25], PLANES)
         np.testing.assert_allclose(label, [0.75, 0.25, 0, 0])
         np.testing.assert_allclose(label @ PLANES.depths, 1.25, atol=1e-12)
 
-    def test_out_of_range_clamps_with_warning(self):
-        with pytest.warns(UserWarning):
-            label = tr.soft_label(9.0, PLANES)
+    def test_out_of_range_clamps_and_is_counted(self):
+        (label,), clamped = tr.soft_labels([9.0], PLANES)
         np.testing.assert_array_equal(label, [0, 0, 0, 1])
-        with pytest.warns(UserWarning):
-            label = tr.soft_label(0.1, PLANES)
+        assert clamped == 1
+        (label,), clamped = tr.soft_labels([0.1], PLANES)
         np.testing.assert_array_equal(label, [1, 0, 0, 0])
+        assert clamped == 1
 
     @given(st.floats(min_value=1.0, max_value=4.0))
     @settings(max_examples=200, deadline=None)
     def test_expectation_identity_and_support(self, gt):
-        label = tr.soft_label(gt, PLANES)
+        (label,), clamped = tr.soft_labels([gt], PLANES)
+        assert clamped == 0
         assert abs(label @ PLANES.depths - gt) < 1e-9
         assert abs(label.sum() - 1.0) < 1e-12
         assert (label > 0).sum() <= 2
@@ -111,7 +114,7 @@ class TestLosses:
     def test_gibbs_inequality(self, seed):
         rng = np.random.default_rng(seed)
         gt_depth = rng.uniform(1.0, 4.0)
-        label = tr.soft_label(gt_depth, PLANES)
+        (label,), _ = tr.soft_labels([gt_depth], PLANES)
         p = rng.dirichlet(np.ones(4))
         gt = sparse([[gt_depth]], [[True]])
         ce = tr.ce_loss(self._prob(p), gt, PLANES).item()
