@@ -19,7 +19,6 @@ import math
 from collections import defaultdict
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericError, ParameterError, TrainingError
 
@@ -437,36 +436,20 @@ def weighted_gather(x, indices, weights):
 
 # -- convolutions ------------------------------------------------------------
 
-_einsum_paths = {}
 
+def _conv(x, kernel, bias, stride, name):
+    """N-d cross-correlation over a (Cin, *spatial) array, zero padding
+    (k-1)/2, per-axis stride: im2col plus one GEMM.
 
-def _einsum(eq, a, b):
-    """einsum with the contraction path cached per (equation, shapes)."""
-    key = (eq, a.shape, b.shape)
-    path = _einsum_paths.get(key)
-    if path is None:
-        path = np.einsum_path(eq, a, b, optimize="optimal")[0]
-        _einsum_paths[key] = path
-    return np.einsum(eq, a, b, optimize=path)
-
-
-def _zpad(x, pads):
-    """Zero-pad trailing spatial axes; pads is ((lo, hi), ...) per axis."""
-    shape = list(x.shape)
-    index = [slice(None)] * x.ndim
-    offset = x.ndim - len(pads)
-    for i, (lo, hi) in enumerate(pads):
-        shape[offset + i] += lo + hi
-        index[offset + i] = slice(lo, lo + x.shape[offset + i])
-    out = np.zeros(shape)
-    out[tuple(index)] = x
-    return out
-
-
-def _check_kernel(kernel, cin, ndim_spatial, name):
-    if kernel.data.ndim != 2 + ndim_spatial:
-        raise DimensionError(f"{name} kernel must have rank {2 + ndim_spatial}")
-    k = kernel.data.shape[2]
+    Tap ``t`` of the column matrix is the strided slice of the padded input
+    that kernel offset ``t`` reads; backward scatter-adds the column
+    gradient through the same slices (col2im), the forward's exact adjoint.
+    """
+    nd = x.data.ndim - 1
+    cin, spatial = x.data.shape[0], x.data.shape[1:]
+    if kernel.data.ndim != 2 + nd:
+        raise DimensionError(f"{name} kernel must have rank {2 + nd}")
+    cout, k = kernel.data.shape[0], kernel.data.shape[2]
     if any(s != k for s in kernel.data.shape[2:]):
         raise DimensionError(f"{name} kernel must be square, got {kernel.shape}")
     if k % 2 != 1:
@@ -475,27 +458,38 @@ def _check_kernel(kernel, cin, ndim_spatial, name):
         raise DimensionError(
             f"{name} channel mismatch: input has {cin}, kernel expects {kernel.data.shape[1]}"
         )
-    return k
+    if bias.data.shape != (cout,):
+        raise DimensionError(f"{name} bias must be ({cout},), got {bias.shape}")
+    strides = (stride,) * nd if isinstance(stride, int) else tuple(stride)
+    p = k // 2
+    out_spatial = tuple((n - 1) // s + 1 for n, s in zip(spatial, strides))
+    per_axis = [
+        [slice(o, o + s * (n - 1) + 1, s) for o in range(k)] for s, n in zip(strides, out_spatial)
+    ]
+    taps = [(slice(None),) + tap for tap in itertools.product(*per_axis)]
+    interior = (slice(None),) + tuple(slice(p, p + n) for n in spatial)
+    xp = np.zeros((cin,) + tuple(n + 2 * p for n in spatial))
+    xp[interior] = x.data
+    w = kernel.data.reshape(cout, -1)
 
+    def im2col():
+        cols = np.empty((cin, len(taps)) + out_spatial)
+        for t, tap in enumerate(taps):
+            cols[:, t] = xp[tap]
+        return cols.reshape(w.shape[1], -1)
 
-def _dilate_pad(g, strides, in_spatial, k, p):
-    """Zero-stuff a strided-conv output grad so a stride-1 full correlation
-    with the flipped kernel reproduces the input gradient."""
-    c = g.shape[0]
-    shape = [c]
-    inserts = []
-    for n_in, s, n_out in zip(in_spatial, strides, g.shape[1:]):
-        extra = (n_in + 2 * p - k) - s * (n_out - 1)
-        lo = k - 1 - p
-        shape.append(lo + s * (n_out - 1) + 1 + lo + extra)
-        inserts.append((lo, s))
-    out = np.zeros(shape)
-    slices = tuple(
-        slice(lo, lo + s * (n - 1) + 1, s)
-        for (lo, s), n in zip(inserts, g.shape[1:])
-    )
-    out[(slice(None),) + slices] = g
-    return out
+    out = (w @ im2col() + bias.data[:, None]).reshape((cout,) + out_spatial)
+
+    def backward(g):
+        g = g.reshape(cout, -1)
+        gk = (g @ im2col().T).reshape(kernel.data.shape)
+        gcols = (w.T @ g).reshape((cin, len(taps)) + out_spatial)
+        gxp = np.zeros(xp.shape)
+        for t, tap in enumerate(taps):
+            gxp[tap] += gcols[:, t]
+        return gxp[interior], gk, g.sum(axis=1)
+
+    return _make(out, (x, kernel, bias), backward)
 
 
 def conv3d(x, kernel, bias, stride=1):
@@ -504,29 +498,7 @@ def conv3d(x, kernel, bias, stride=1):
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.data.ndim != 4:
         raise DimensionError(f"conv3d input must be (Cin, D, H, W), got {x.shape}")
-    k = _check_kernel(kernel, x.data.shape[0], 3, "conv3d")
-    cout = kernel.data.shape[0]
-    if bias.data.shape != (cout,):
-        raise DimensionError(f"conv3d bias must be ({cout},), got {bias.shape}")
-    strides = (stride,) * 3 if isinstance(stride, int) else tuple(stride)
-    p = k // 2
-    xp = _zpad(x.data, ((p, p), (p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
-    win = win[:, :: strides[0], :: strides[1], :: strides[2]]
-    out = _einsum("oiabc,idhwabc->odhw", kernel.data, win)
-    out += bias.data[:, None, None, None]
-    in_spatial = x.data.shape[1:]
-
-    def backward(g):
-        gk = _einsum("odhw,idhwabc->oiabc", g, win)
-        gb = g.sum(axis=(1, 2, 3))
-        gd = _dilate_pad(g, strides, in_spatial, k, p)
-        kf = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1))
-        gwin = sliding_window_view(gd, (k, k, k), axis=(1, 2, 3))
-        gx = _einsum("oiabc,idhwabc->odhw", kf, gwin)
-        return gx, gk, gb
-
-    return _make(out, (x, kernel, bias), backward)
+    return _conv(x, kernel, bias, stride, "conv3d")
 
 
 def conv2d(x, kernel, bias, stride=1):
@@ -534,29 +506,7 @@ def conv2d(x, kernel, bias, stride=1):
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.data.ndim != 3:
         raise DimensionError(f"conv2d input must be (Cin, H, W), got {x.shape}")
-    k = _check_kernel(kernel, x.data.shape[0], 2, "conv2d")
-    cout = kernel.data.shape[0]
-    if bias.data.shape != (cout,):
-        raise DimensionError(f"conv2d bias must be ({cout},), got {bias.shape}")
-    strides = (stride,) * 2 if isinstance(stride, int) else tuple(stride)
-    p = k // 2
-    xp = _zpad(x.data, ((p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, :: strides[0], :: strides[1]]
-    out = _einsum("oiab,ihwab->ohw", kernel.data, win)
-    out += bias.data[:, None, None]
-    in_spatial = x.data.shape[1:]
-
-    def backward(g):
-        gk = _einsum("ohw,ihwab->oiab", g, win)
-        gb = g.sum(axis=(1, 2))
-        gd = _dilate_pad(g, strides, in_spatial, k, p)
-        kf = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1].swapaxes(0, 1))
-        gwin = sliding_window_view(gd, (k, k), axis=(1, 2))
-        gx = _einsum("oiab,ihwab->ohw", kf, gwin)
-        return gx, gk, gb
-
-    return _make(out, (x, kernel, bias), backward)
+    return _conv(x, kernel, bias, stride, "conv2d")
 
 
 def conv_transpose3d(x, kernel, bias, stride=(1, 2, 2)):
@@ -574,16 +524,19 @@ def conv_transpose3d(x, kernel, bias, stride=(1, 2, 2)):
     cout = kernel.data.shape[1]
     if bias.data.shape != (cout,):
         raise DimensionError(f"conv_transpose3d bias must be ({cout},), got {bias.shape}")
-    out = _einsum("idhw,ioabc->odahbwc", x.data, kernel.data)
-    out = out.reshape(cout, d * s[0], h * s[1], w * s[2])
+    # each input voxel writes one disjoint (s0, s1, s2) block per output channel
+    km = kernel.data.reshape(cin, -1)
+    xm = x.data.reshape(cin, -1)
+    blocks = (km.T @ xm).reshape(cout, *s, d, h, w)
+    out = blocks.transpose(0, 4, 1, 5, 2, 6, 3).reshape(cout, d * s[0], h * s[1], w * s[2])
     out = out + bias.data[:, None, None, None]
 
     def backward(g):
-        gr = g.reshape(cout, d, s[0], h, s[1], w, s[2])
-        gx = _einsum("odahbwc,ioabc->idhw", gr, kernel.data)
-        gk = _einsum("odahbwc,idhw->ioabc", gr, x.data)
-        gb = g.sum(axis=(1, 2, 3))
-        return gx, gk, gb
+        gm = g.reshape(cout, d, s[0], h, s[1], w, s[2]).transpose(0, 2, 4, 6, 1, 3, 5)
+        gm = gm.reshape(km.shape[1], -1)
+        gx = (km @ gm).reshape(x.data.shape)
+        gk = (xm @ gm.T).reshape(kernel.data.shape)
+        return gx, gk, g.sum(axis=(1, 2, 3))
 
     return _make(out, (x, kernel, bias), backward)
 

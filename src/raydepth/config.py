@@ -1,6 +1,7 @@
 """Run configuration: dataclasses plus strict JSON loading.
 
-Unknown keys are rejected with their full key path so typos fail loudly.
+Unknown keys, and values whose JSON type does not fit the field's type
+hint, are rejected with their full key path so typos fail loudly.
 An empty JSON object yields the defaults (16 planes over [1e-3, 10] m,
 downscale 4, fused mode, refinement on).
 """
@@ -9,7 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 
@@ -43,7 +46,7 @@ class LossConfig:
 class OptimizerConfig:
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
-    milestones: tuple = ()
+    milestones: tuple[int, ...] = ()
     epochs: int = 30
 
 
@@ -59,7 +62,7 @@ class PathsConfig:
 class RunConfig:
     planes: PlanesConfig = field(default_factory=PlanesConfig)
     channels: int = 16
-    image_channels: tuple = (4, 4, 4)
+    image_channels: tuple[int, ...] = (4, 4, 4)
     downscale: int = 4
     mode: str = "fused"
     refinement: bool = True
@@ -76,39 +79,48 @@ class RunConfig:
     seed: int = 0
     sparse_count: int | None = 300
     sparse_fraction: float | None = None
-    eval_range: tuple | None = None
+    eval_range: tuple[float, ...] | None = None
 
 
-_SECTIONS = {
-    "planes": PlanesConfig,
-    "loss": LossConfig,
-    "optimizer": OptimizerConfig,
-    "paths": PathsConfig,
-}
-_LIST_FIELDS = {"image_channels", "milestones", "eval_range"}
+def _accepts(hint, value):
+    """Whether a JSON value fits one type-hint alternative.  An int fits a
+    float field; a bool fits neither an int nor a float field."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_accepts(get_args(hint)[0], v) for v in value)
+    return isinstance(value, hint)
+
+
+def _type_name(hint):
+    if hint is NoneType:
+        return "null"
+    if get_origin(hint) is tuple:
+        return f"a list of {get_args(hint)[0].__name__}"
+    return hint.__name__
 
 
 def _fill(cls, raw, prefix):
-    known = {f.name for f in fields(cls)}
+    hints = get_type_hints(cls)
     kwargs = {}
     for key, value in raw.items():
         path = f"{prefix}{key}"
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"unknown config key {path!r}")
-        if key in _SECTIONS:
+        hint = hints[key]
+        if is_dataclass(hint):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path!r} must be an object")
-            kwargs[key] = _fill(_SECTIONS[key], value, path + ".")
-        elif key in _LIST_FIELDS:
-            if value is not None and not isinstance(value, list):
-                raise ConfigError(f"config key {path!r} must be a list")
-            kwargs[key] = tuple(value) if value is not None else None
-        else:
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config near {prefix or 'top level'}: {exc}") from exc
+            kwargs[key] = _fill(hint, value, path + ".")
+            continue
+        allowed = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+        if not any(_accepts(h, value) for h in allowed):
+            names = " or ".join(_type_name(h) for h in allowed)
+            raise ConfigError(f"config key {path!r} must be {names}, got {json.dumps(value)}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 def validate_config(cfg):

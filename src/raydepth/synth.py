@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -247,45 +247,21 @@ def load_scene(path):
         return scene_from_dict(json.load(f))
 
 
+def _plain(value):
+    """Nested dicts, sequences and arrays as JSON-ready dicts and lists."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def scene_to_dict(spec, K=None):
-    prims = []
-    for p in spec.primitives:
-        if isinstance(p, Box):
-            prims.append(
-                {
-                    "kind": "box",
-                    "center": list(p.center),
-                    "half_extents": list(p.half_extents),
-                    "checker_scale": p.checker_scale,
-                    "color": list(p.color),
-                }
-            )
-        else:
-            prims.append(
-                {
-                    "kind": "sphere",
-                    "center": list(p.center),
-                    "radius": p.radius,
-                    "checker_scale": p.checker_scale,
-                    "color": list(p.color),
-                }
-            )
-    raw = {
-        "seed": spec.seed,
-        "room_bounds": [list(spec.room_bounds[0]), list(spec.room_bounds[1])],
-        "primitives": prims,
-        "trajectory": {
-            "kind": spec.trajectory.kind,
-            "frame_count": spec.trajectory.frame_count,
-            "step": spec.trajectory.step,
-        },
-    }
+    raw = asdict(spec)
+    raw["primitives"] = [{"kind": type(p).__name__.lower(), **asdict(p)} for p in spec.primitives]
     if K is not None:
-        raw["camera"] = {
-            "fx": K.fx, "fy": K.fy, "cx": K.cx, "cy": K.cy,
-            "width": K.width, "height": K.height,
-        }
-    return raw
+        raw["camera"] = asdict(K)
+    return _plain(raw)
 
 
 def save_scene(path, spec, K=None):

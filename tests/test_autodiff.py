@@ -22,6 +22,28 @@ def fd_check(build, arrays, step=1e-5):
     return ad.gradient_check(build, store, step=step)
 
 
+def direct_correlation(x, kernel, bias, stride):
+    """Nested-loop zero-padded cross-correlation: the convolutions' oracle."""
+    nd, k = x.ndim - 1, kernel.shape[-1]
+    strides = (stride,) * nd if isinstance(stride, int) else stride
+    xp = np.pad(x, [(0, 0)] + [(k // 2, k // 2)] * nd)
+    starts = [range(0, n, s) for n, s in zip(x.shape[1:], strides)]
+    out = np.empty((kernel.shape[0],) + tuple(len(r) for r in starts))
+    for o in range(kernel.shape[0]):
+        for idx in np.ndindex(*out.shape[1:]):
+            window = tuple(slice(r[i], r[i] + k) for r, i in zip(starts, idx))
+            out[(o,) + idx] = (xp[(slice(None),) + window] * kernel[o]).sum() + bias[o]
+    return out
+
+
+def cotangent_fd_check(op, arrays, seed, **kwargs):
+    """FD check of ``(op(x, k, b) * w).sum()`` for a random cotangent ``w``:
+    unlike a plain sum, it weighs every output entry differently."""
+    probe = op(ad.Tensor(arrays["x"]), ad.Tensor(arrays["k"]), ad.Tensor(arrays["b"]), **kwargs)
+    w = np.random.default_rng(seed).normal(size=probe.shape)
+    return fd_check(lambda s: (op(s["x"], s["k"], s["b"], **kwargs) * w).sum(), arrays)
+
+
 class TestMatmul:
     def test_identity_passthrough(self):
         a = ad.Tensor([[1.5, -2.0], [0.25, 3.0]])
@@ -141,14 +163,21 @@ class TestConv3d:
     def test_gradients_match_finite_differences(self, stride):
         rng = np.random.default_rng(7)
         arrays = {
-            "x": rng.normal(size=(2, 4, 4, 4)),
+            "x": rng.normal(size=(2, 3, 5, 7)),
             "k": rng.normal(size=(3, 2, 3, 3, 3)) * 0.3,
             "b": rng.normal(size=3),
         }
-        err = fd_check(
-            lambda s: ad.conv3d(s["x"], s["k"], s["b"], stride=stride).sum(), arrays
-        )
-        assert err < 1e-4
+        assert cotangent_fd_check(ad.conv3d, arrays, 70, stride=stride) < 1e-4
+
+    @pytest.mark.parametrize("stride", [1, 2, (1, 2, 2), (2, 1, 2)])
+    @pytest.mark.parametrize("shape,k", [((2, 3, 5, 7), 3), ((1, 4, 4, 4), 3), ((3, 2, 3, 6), 5)])
+    def test_matches_direct_correlation(self, shape, k, stride):
+        rng = np.random.default_rng(sum(shape) + k)
+        x = rng.normal(size=shape)
+        kernel = rng.normal(size=(2, shape[0], k, k, k))
+        bias = rng.normal(size=2)
+        out = ad.conv3d(ad.Tensor(x), ad.Tensor(kernel), ad.Tensor(bias), stride=stride)
+        np.testing.assert_allclose(out.data, direct_correlation(x, kernel, bias, stride), rtol=1e-12, atol=1e-12)
 
     def test_stride2_output_shape(self):
         out = ad.conv3d(
@@ -169,11 +198,17 @@ class TestConv2dAndResampling:
             "b": rng.normal(size=3),
         }
         for stride in (1, 2):
-            err = fd_check(
-                lambda s, stride=stride: ad.conv2d(s["x"], s["k"], s["b"], stride=stride).sum(),
-                arrays,
-            )
-            assert err < 1e-4
+            assert cotangent_fd_check(ad.conv2d, arrays, 80 + stride, stride=stride) < 1e-4
+
+    @pytest.mark.parametrize("stride", [1, 2, (1, 2), (2, 1)])
+    @pytest.mark.parametrize("shape,k", [((2, 5, 7), 3), ((3, 6, 5), 3), ((1, 4, 9), 5)])
+    def test_conv2d_matches_direct_correlation(self, shape, k, stride):
+        rng = np.random.default_rng(sum(shape) + k)
+        x = rng.normal(size=shape)
+        kernel = rng.normal(size=(3, shape[0], k, k))
+        bias = rng.normal(size=3)
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(kernel), ad.Tensor(bias), stride=stride)
+        np.testing.assert_allclose(out.data, direct_correlation(x, kernel, bias, stride), rtol=1e-12, atol=1e-12)
 
     def test_conv2d_rank2_kernel_rejected(self):
         with pytest.raises(DimensionError, match="rank 4"):
@@ -196,10 +231,7 @@ class TestConv2dAndResampling:
             "k": rng.normal(size=(2, 3, 1, 2, 2)),
             "b": rng.normal(size=3),
         }
-        err = fd_check(
-            lambda s: ad.conv_transpose3d(s["x"], s["k"], s["b"]).sum(), arrays
-        )
-        assert err < 1e-4
+        assert cotangent_fd_check(ad.conv_transpose3d, arrays, 100) < 1e-4
 
     def test_avg_pool_and_upsample_roundtrip_constant(self):
         x = ad.Tensor(np.full((2, 4, 4), 3.25))
@@ -314,7 +346,7 @@ class TestRandomizedShapes:
             "k": rng.normal(size=(cout, cin, 3, 3, 3)) * 0.3,
             "b": rng.normal(size=cout),
         }
-        assert fd_check(lambda s: ad.conv3d(s["x"], s["k"], s["b"]).sum(), arrays) < 1e-4
+        assert cotangent_fd_check(ad.conv3d, arrays, 300 + seed) < 1e-4
 
 
 class TestBackwardSemantics:

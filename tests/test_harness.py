@@ -89,6 +89,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"loss": {"use_l1": False, "use_ce": False, "use_l2": False}})
 
+    @pytest.mark.parametrize(
+        "raw,path",
+        [
+            pytest.param({"channels": "8"}, "'channels'", id="int-as-string"),
+            pytest.param({"refinement": "no"}, "'refinement'", id="bool-as-string"),
+            pytest.param({"planes": {"d_min": "1"}}, "'planes.d_min'", id="float-as-string"),
+            pytest.param({"channels": True}, "'channels'", id="int-as-bool"),
+            pytest.param({"planes": {"d_max": False}}, "'planes.d_max'", id="float-as-bool"),
+            pytest.param({"image_channels": [4, "4", 4]}, "'image_channels'", id="list-element"),
+            pytest.param({"paths": {"scene": 3}}, "'paths.scene'", id="optional-str-as-int"),
+        ],
+    )
+    def test_mistyped_value_names_path(self, raw, path):
+        with pytest.raises(ConfigError, match=path):
+            config_from_dict(raw)
+
+    def test_int_accepted_for_float_field(self):
+        cfg = config_from_dict({"planes": {"d_min": 1, "d_max": 5}, "sparse_count": None, "sparse_fraction": 1})
+        assert (cfg.planes.d_min, cfg.planes.d_max, cfg.sparse_fraction) == (1, 5, 1)
+
 
 def depth_map(arr):
     arr = np.asarray(arr, dtype=np.float64)
@@ -268,6 +288,11 @@ class TestCli:
         bad.write_text(json.dumps({"downscale": 3}))
         assert self._run("train", "--config", str(bad)) == 2
 
+    def test_mistyped_config_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channels": "8"}))
+        assert self._run("train", "--config", str(bad)) == 2
+
     def test_runtime_error_exit_code(self, tmp_path):
         # checkpoint that does not match the configured architecture
         cfg = tiny_run_config()
@@ -286,12 +311,14 @@ class TestCli:
         training.save_checkpoint(ck, stray)
         assert self._run("infer", "--config", str(cfg_path), "--checkpoint", str(ck)) == 1
 
-    def test_console_script_entrypoint(self):
+    def test_console_script_entrypoint(self, tmp_path):
+        out = tmp_path / "bench.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "raydepth.cli", "bench", "--depths", "2",
              "--heights", "2", "--widths", "2", "--channels", "2", "--repeats", "1",
-             "--out", "/tmp/_rd_bench.csv"],
+             "--out", str(out)],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+        assert out.exists()

@@ -191,11 +191,10 @@ class TestSceneFilesAndSequences:
         path = tmp_path / "scene.json"
         synth.save_scene(path, spec, kc)
         spec2, k2 = synth.load_scene(path)
-        assert len(spec2.primitives) == len(spec.primitives)
-        assert spec2.trajectory.kind == spec.trajectory.kind
-        assert (k2.fx, k2.width, k2.height) == (kc.fx, kc.width, kc.height)
-        _, dense_a, pose_a = synth.render_frame(spec, 0, kc)
-        _, dense_b, pose_b = synth.render_frame(spec2, 0, k2)
+        assert synth.scene_to_dict(spec2, k2) == synth.scene_to_dict(spec, kc)
+        img_a, dense_a, pose_a = synth.render_frame(spec, 0, kc)
+        img_b, dense_b, pose_b = synth.render_frame(spec2, 0, k2)
+        np.testing.assert_array_equal(img_a.channels, img_b.channels)
         np.testing.assert_array_equal(dense_a.depth, dense_b.depth)
 
     def test_generate_and_load_sequence(self, tmp_path):
