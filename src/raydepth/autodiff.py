@@ -439,11 +439,16 @@ def weighted_gather(x, indices, weights):
 
 def _conv(x, kernel, bias, stride, name):
     """N-d cross-correlation over a (Cin, *spatial) array, zero padding
-    (k-1)/2, per-axis stride: im2col plus one GEMM.
+    (k-1)/2, per-axis stride: im2col over the trailing axes plus one GEMM
+    per kernel offset along the leading axis.
 
-    Tap ``t`` of the column matrix is the strided slice of the padded input
-    that kernel offset ``t`` reads; backward scatter-adds the column
-    gradient through the same slices (col2im), the forward's exact adjoint.
+    The column matrix holds the k^(nd-1) trailing taps of every padded
+    leading-axis plane, stored phase by phase (plane ``q*s0 + r`` at
+    ``[r, q]``), so the planes ``o, o + s0, ...`` that leading offset ``o``
+    reads are contiguous and each GEMM's operand is a view, at any stride.
+    Backward runs the same GEMMs transposed and scatter-adds the column
+    gradient through the trailing slices (col2im), the forward's exact
+    adjoint.
     """
     nd = x.data.ndim - 1
     cin, spatial = x.data.shape[0], x.data.shape[1:]
@@ -463,30 +468,64 @@ def _conv(x, kernel, bias, stride, name):
     strides = (stride,) * nd if isinstance(stride, int) else tuple(stride)
     p = k // 2
     out_spatial = tuple((n - 1) // s + 1 for n, s in zip(spatial, strides))
+    s0, n0, trail_out = strides[0], out_spatial[0], out_spatial[1:]
+    # plane positions per phase: enough for every offset's read and the input
+    q = max((k - 1) // s0 + n0, -(-(spatial[0] + 2 * p) // s0))
     per_axis = [
-        [slice(o, o + s * (n - 1) + 1, s) for o in range(k)] for s, n in zip(strides, out_spatial)
+        [slice(o, o + s * (n - 1) + 1, s) for o in range(k)] for s, n in zip(strides[1:], trail_out)
     ]
-    taps = [(slice(None),) + tap for tap in itertools.product(*per_axis)]
-    interior = (slice(None),) + tuple(slice(p, p + n) for n in spatial)
-    xp = np.zeros((cin,) + tuple(n + 2 * p for n in spatial))
+    taps = [(slice(None),) * 3 + tap for tap in itertools.product(*per_axis)]
+    interior = (slice(None), slice(p, p + spatial[0])) + tuple(slice(p, p + n) for n in spatial[1:])
+    xp = np.zeros((cin, s0 * q) + tuple(n + 2 * p for n in spatial[1:]))
     xp[interior] = x.data
-    w = kernel.data.reshape(cout, -1)
+    # w[o] is the (Cout, Cin*k^(nd-1)) kernel matrix of leading offset o
+    w = kernel.data.transpose((2, 0, 1) + tuple(range(3, 2 + nd))).reshape(k, cout, -1)
+    rows, m = w.shape[2], math.prod(trail_out)
+    col_shape = (cin, len(taps), s0, q) + trail_out
+
+    def phased(a):
+        """(Cin, s0*q, ...) -> (Cin, s0, q, ...) view: plane q*s0 + r at [r, q]."""
+        return a.reshape((cin, q, s0) + a.shape[2:]).swapaxes(1, 2)
+
+    def planes(o):
+        """Index of the n0 column-matrix planes that leading offset o reads."""
+        return slice(None), o % s0, slice(o // s0, o // s0 + n0)
 
     def im2col():
-        cols = np.empty((cin, len(taps)) + out_spatial)
+        cols = np.empty(col_shape)
+        xq = phased(xp)
         for t, tap in enumerate(taps):
-            cols[:, t] = xp[tap]
-        return cols.reshape(w.shape[1], -1)
+            cols[:, t] = xq[tap]
+        return cols.reshape(rows, s0, q, m)
 
-    out = (w @ im2col() + bias.data[:, None]).reshape((cout,) + out_spatial)
+    def view(cols, o):
+        return cols[planes(o)].reshape(rows, n0 * m)
+
+    cols = im2col()
+    out = w[0] @ view(cols, 0)
+    out += bias.data[:, None]
+    wx = np.empty_like(out)  # one product buffer, reused across offsets
+    for o in range(1, k):
+        out += np.matmul(w[o], view(cols, o), out=wx)
+    out = out.reshape((cout,) + out_spatial)
 
     def backward(g):
         g = g.reshape(cout, -1)
-        gk = (g @ im2col().T).reshape(kernel.data.shape)
-        gcols = (w.T @ g).reshape((cin, len(taps)) + out_spatial)
+        cols = im2col()
+        gk = np.empty(kernel.data.shape)
+        for o in range(k):
+            gk[:, :, o] = (g @ view(cols, o).T).reshape((cout, cin) + kernel.data.shape[3:])
+        del cols  # never alive together with the column gradient
+        gcols = np.zeros((rows, s0, q, m))
+        wg = np.empty((rows, n0 * m))
+        for o in range(k):
+            gcols[planes(o)] += np.matmul(w[o].T, g, out=wg).reshape(rows, n0, m)
+        del wg
+        gcols = gcols.reshape(col_shape)
         gxp = np.zeros(xp.shape)
+        gxq = phased(gxp)
         for t, tap in enumerate(taps):
-            gxp[tap] += gcols[:, t]
+            gxq[tap] += gcols[:, t]
         return gxp[interior], gk, g.sum(axis=1)
 
     return _make(out, (x, kernel, bias), backward)

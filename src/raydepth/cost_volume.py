@@ -28,6 +28,8 @@ class SparseDepthMap:
             raise DimensionError(
                 f"depth map arrays must be {self.height}x{self.width}, got {self.depth.shape}"
             )
+        if not np.isfinite(self.depth[self.valid]).all():
+            raise NumericError("valid depth entries must be finite")
         if np.any(self.depth[self.valid] <= 0):
             raise ParameterError("valid depth entries must be positive")
         self.depth = np.where(self.valid, self.depth, 0.0)
@@ -49,6 +51,8 @@ class RGBImage:
             raise DimensionError(
                 f"image must be (3, {self.height}, {self.width}), got {self.channels.shape}"
             )
+        if not np.isfinite(self.channels).all():
+            raise NumericError("image values must be finite")
         if self.channels.min() < 0.0 or self.channels.max() > 1.0:
             raise ParameterError("image values must lie in [0, 1]")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BehindCameraError, DimensionError, ParameterError
+from .errors import BehindCameraError, DimensionError, NumericError, ParameterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +54,8 @@ class Pose:
         r = self.rotation
         if r.shape != (3, 3) or self.translation.shape != (3,):
             raise DimensionError("pose needs a 3x3 rotation and a 3-vector translation")
+        if not (np.isfinite(r).all() and np.isfinite(self.translation).all()):
+            raise NumericError("pose rotation and translation must be finite")
         if not np.allclose(r.T @ r, np.eye(3), atol=1e-9):
             raise ParameterError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:

@@ -1,6 +1,8 @@
 """Tensor engine tests: forward values against hand oracles, every backward
 against central finite differences, and graph-order determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,72 @@ class TestConv2dAndResampling:
         w2 = rng.normal(size=(2, 8, 12))
         err = fd_check(lambda s: (ad.upsample_nearest2d(s["x"], 2) * w2).sum(), arrays)
         assert err < 1e-4
+
+
+CONV_CASES = [
+    (ad.conv3d, shape, k, stride)
+    for stride in [1, 2, (1, 2, 2), (2, 1, 2)]
+    for shape, k in [((2, 3, 5, 7), 3), ((1, 4, 4, 4), 3), ((3, 2, 3, 6), 5)]
+] + [
+    (ad.conv2d, shape, k, stride)
+    for stride in [1, 2, (1, 2), (2, 1)]
+    for shape, k in [((2, 5, 7), 3), ((3, 6, 5), 3), ((1, 4, 9), 5)]
+]
+
+
+class TestConvAdjoint:
+    """Convolution is bilinear, so with ``y = conv(x, kernel) - bias`` and a
+    cotangent ``g``, the backward's gradients satisfy ``<y, g> = <x, gx> =
+    <kernel, gk>`` exactly, up to rounding: a check far tighter than the
+    finite-difference tolerance of 1e-4."""
+
+    @pytest.mark.parametrize("op,shape,k,stride", CONV_CASES)
+    def test_exact_adjoint(self, op, shape, k, stride):
+        rng = np.random.default_rng(sum(shape) + 10 * k)
+        nd = len(shape) - 1
+        x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        kernel = ad.Tensor(rng.normal(size=(2, shape[0]) + (k,) * nd), requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=2), requires_grad=True)
+        y = op(x, kernel, bias, stride=stride)
+        g = rng.normal(size=y.shape)
+        (y * g).sum().backward()
+        lhs = np.vdot(y.data - bias.data.reshape((2,) + (1,) * nd), g)
+        np.testing.assert_allclose(np.vdot(x.data, x.grad), lhs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.vdot(kernel.data, kernel.grad), lhs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(bias.grad, g.reshape(2, -1).sum(axis=1), rtol=1e-12)
+
+
+class TestConvMemory:
+    """Traced allocation peaks of a 16->16, k=3 conv3d on a (16, 16, 24, 32)
+    input, in multiples of the input's bytes.  The column matrix covers the
+    k^2 trailing taps of each plane (9 planes' worth of the input), not all
+    k^3 taps."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.x = ad.Tensor(rng.normal(size=(16, 16, 24, 32)), requires_grad=True)
+        self.kernel = ad.Tensor(rng.normal(size=(16, 16, 3, 3, 3)), requires_grad=True)
+        self.bias = ad.Tensor(rng.normal(size=16), requires_grad=True)
+
+    def _traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / self.x.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_forward_peak(self):
+        def forward():
+            with ad.no_grad():
+                ad.conv3d(self.x, self.kernel, self.bias)
+        assert self._traced_peak(forward) < 16
+
+    def test_backward_peak(self):
+        y = ad.conv3d(self.x, self.kernel, self.bias)
+        g = np.random.default_rng(12).normal(size=y.shape)
+        backward_fn = y.op[1]
+        assert self._traced_peak(lambda: backward_fn(g)) < 22
 
 
 class TestElementwiseAndShape:

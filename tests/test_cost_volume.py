@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from raydepth import autodiff as ad
 from raydepth import cost_volume as cv
-from raydepth.errors import DimensionError, ParameterError
+from raydepth.errors import DimensionError, NumericError, ParameterError
 from raydepth.geometry import make_planes
 
 PLANES = make_planes(4, 1.0, 4.0)
@@ -30,6 +30,17 @@ class TestTypes:
     def test_image_range_enforced(self):
         with pytest.raises(ParameterError):
             cv.RGBImage(2, 2, np.full((3, 2, 2), 1.5))
+
+    def test_nan_image_value_rejected(self):
+        channels = np.full((3, 2, 2), 0.5)
+        channels[1, 0, 1] = np.nan
+        with pytest.raises(NumericError):
+            cv.RGBImage(2, 2, channels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_valid_depth_rejected(self, value):
+        with pytest.raises(NumericError):
+            sparse_map([[2.0, value]], [[True, True]])
 
     def test_cost_volume_plane_count_checked(self):
         with pytest.raises(DimensionError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from raydepth import autodiff as ad
 from raydepth import geometry as geo
 from raydepth.cost_volume import CostVolume
-from raydepth.errors import BehindCameraError, DimensionError, ParameterError
+from raydepth.errors import BehindCameraError, DimensionError, NumericError, ParameterError
 
 K = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
 
@@ -149,6 +149,10 @@ class TestRelativePose:
             geo.Pose(np.eye(3) * 2.0, np.zeros(3))
         with pytest.raises(ParameterError):
             geo.Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    def test_nan_translation_rejected(self):
+        with pytest.raises(NumericError):
+            geo.Pose(np.eye(3), [0.0, np.nan, 0.0])
 
 
 class TestAlignVolume:
