@@ -360,10 +360,8 @@ def tile_leading(x, n):
     return _make(np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,), backward)
 
 
-def edge_pad2d(x, width=1):
-    """Replicate-pad the last two axes by ``width`` (only width 1 supported)."""
-    if width != 1:
-        raise ParameterError("edge_pad2d supports width 1 only")
+def edge_pad2d(x):
+    """Replicate-pad the last two axes by one entry."""
     x = as_tensor(x)
     pad = [(0, 0)] * (x.data.ndim - 2) + [(1, 1), (1, 1)]
     def backward(g):
@@ -437,18 +435,53 @@ def weighted_gather(x, indices, weights):
 # -- convolutions ------------------------------------------------------------
 
 
-def _conv(x, kernel, bias, stride, name):
-    """N-d cross-correlation over a (Cin, *spatial) array, zero padding
-    (k-1)/2, per-axis stride: im2col over the trailing axes plus one GEMM
-    per kernel offset along the leading axis.
+def _columns(x, k, strides):
+    """The k GEMM operands of a zero-padded (k-1)/2, strided correlation of a
+    (C, *spatial) array, one per leading-axis kernel offset, and the output
+    extents.  im2col covers the trailing axes of each padded leading-axis
+    plane, stored phase by phase (plane ``q*s0 + r`` at ``[r, q]``), so the
+    planes ``o, o + s0, ...`` of offset ``o`` are contiguous: a view at any stride."""
+    c, spatial = x.shape[0], x.shape[1:]
+    p = k // 2
+    out_spatial = tuple((n - 1) // s + 1 for n, s in zip(spatial, strides))
+    s0, n0, trail_out = strides[0], out_spatial[0], out_spatial[1:]
+    # plane positions per phase: enough for every offset's read and the input
+    q = max((k - 1) // s0 + n0, -(-(spatial[0] + 2 * p) // s0))
+    xp = np.zeros((c, s0 * q) + tuple(n + 2 * p for n in spatial[1:]))
+    xp[(slice(None),) + tuple(slice(p, p + n) for n in spatial)] = x
+    xq = xp.reshape((c, q, s0) + xp.shape[2:]).swapaxes(1, 2)
+    per_axis = [[slice(o, o + s * (n - 1) + 1, s) for o in range(k)] for s, n in zip(strides[1:], trail_out)]
+    taps = list(itertools.product(*per_axis))
+    cols = np.empty((c, len(taps), s0, q) + trail_out)
+    for t, tap in enumerate(taps):
+        cols[:, t] = xq[(slice(None),) * 3 + tap]
+    cols = cols.reshape(-1, s0, q, math.prod(trail_out))
+    return [cols[:, o % s0, o // s0 : o // s0 + n0].reshape(len(cols), -1) for o in range(k)], out_spatial
 
-    The column matrix holds the k^(nd-1) trailing taps of every padded
-    leading-axis plane, stored phase by phase (plane ``q*s0 + r`` at
-    ``[r, q]``), so the planes ``o, o + s0, ...`` that leading offset ``o``
-    reads are contiguous and each GEMM's operand is a view, at any stride.
-    Backward runs the same GEMMs transposed and scatter-adds the column
-    gradient through the trailing slices (col2im), the forward's exact
-    adjoint.
+
+def _correlate(x, kernel, bias, strides):
+    """``bias + sum_o W[:, :, o] @ operand(o)`` over the leading-axis kernel
+    offsets ``o``: the correlation of :func:`_columns`, one product buffer."""
+    cout, k, nd = kernel.shape[0], kernel.shape[2], x.ndim - 1
+    operands, out_spatial = _columns(x, k, strides)
+    # w[o] is the (Cout, Cin*k^(nd-1)) kernel matrix of leading offset o
+    w = kernel.transpose((2, 0, 1) + tuple(range(3, 2 + nd))).reshape(k, cout, -1)
+    out = w[0] @ operands[0]
+    out += bias[:, None]
+    wx = np.empty_like(out)
+    for o in range(1, k):
+        out += np.matmul(w[o], operands[o], out=wx)
+    return out.reshape((cout,) + out_spatial)
+
+
+def _conv(x, kernel, bias, stride, name):
+    """N-d cross-correlation of a (Cin, *spatial) Tensor, zero padding
+    (k-1)/2, per-axis stride.  Backward takes the kernel gradient
+    ``g @ operand(o).T`` over rebuilt input columns.  The input gradient is
+    the stride-1 correlation of ``g``, zero-inserted at the stride positions,
+    with the flipped, channel-transposed kernel (Dumoulin & Visin,
+    arXiv:1603.07285): padded (k-1)/2 on both sides, that is the exact
+    adjoint.  An untracked ``x`` gets no gradient.
     """
     nd = x.data.ndim - 1
     cin, spatial = x.data.shape[0], x.data.shape[1:]
@@ -466,67 +499,19 @@ def _conv(x, kernel, bias, stride, name):
     if bias.data.shape != (cout,):
         raise DimensionError(f"{name} bias must be ({cout},), got {bias.shape}")
     strides = (stride,) * nd if isinstance(stride, int) else tuple(stride)
-    p = k // 2
-    out_spatial = tuple((n - 1) // s + 1 for n, s in zip(spatial, strides))
-    s0, n0, trail_out = strides[0], out_spatial[0], out_spatial[1:]
-    # plane positions per phase: enough for every offset's read and the input
-    q = max((k - 1) // s0 + n0, -(-(spatial[0] + 2 * p) // s0))
-    per_axis = [
-        [slice(o, o + s * (n - 1) + 1, s) for o in range(k)] for s, n in zip(strides[1:], trail_out)
-    ]
-    taps = [(slice(None),) * 3 + tap for tap in itertools.product(*per_axis)]
-    interior = (slice(None), slice(p, p + spatial[0])) + tuple(slice(p, p + n) for n in spatial[1:])
-    xp = np.zeros((cin, s0 * q) + tuple(n + 2 * p for n in spatial[1:]))
-    xp[interior] = x.data
-    # w[o] is the (Cout, Cin*k^(nd-1)) kernel matrix of leading offset o
-    w = kernel.data.transpose((2, 0, 1) + tuple(range(3, 2 + nd))).reshape(k, cout, -1)
-    rows, m = w.shape[2], math.prod(trail_out)
-    col_shape = (cin, len(taps), s0, q) + trail_out
-
-    def phased(a):
-        """(Cin, s0*q, ...) -> (Cin, s0, q, ...) view: plane q*s0 + r at [r, q]."""
-        return a.reshape((cin, q, s0) + a.shape[2:]).swapaxes(1, 2)
-
-    def planes(o):
-        """Index of the n0 column-matrix planes that leading offset o reads."""
-        return slice(None), o % s0, slice(o // s0, o // s0 + n0)
-
-    def im2col():
-        cols = np.empty(col_shape)
-        xq = phased(xp)
-        for t, tap in enumerate(taps):
-            cols[:, t] = xq[tap]
-        return cols.reshape(rows, s0, q, m)
-
-    def view(cols, o):
-        return cols[planes(o)].reshape(rows, n0 * m)
-
-    cols = im2col()
-    out = w[0] @ view(cols, 0)
-    out += bias.data[:, None]
-    wx = np.empty_like(out)  # one product buffer, reused across offsets
-    for o in range(1, k):
-        out += np.matmul(w[o], view(cols, o), out=wx)
-    out = out.reshape((cout,) + out_spatial)
+    out = _correlate(x.data, kernel.data, bias.data, strides)
 
     def backward(g):
-        g = g.reshape(cout, -1)
-        cols = im2col()
-        gk = np.empty(kernel.data.shape)
-        for o in range(k):
-            gk[:, :, o] = (g @ view(cols, o).T).reshape((cout, cin) + kernel.data.shape[3:])
-        del cols  # never alive together with the column gradient
-        gcols = np.zeros((rows, s0, q, m))
-        wg = np.empty((rows, n0 * m))
-        for o in range(k):
-            gcols[planes(o)] += np.matmul(w[o].T, g, out=wg).reshape(rows, n0, m)
-        del wg
-        gcols = gcols.reshape(col_shape)
-        gxp = np.zeros(xp.shape)
-        gxq = phased(gxp)
-        for t, tap in enumerate(taps):
-            gxq[tap] += gcols[:, t]
-        return gxp[interior], gk, g.sum(axis=1)
+        gm = g.reshape(cout, -1)
+        # the rebuilt input columns are freed before gx's columns are built
+        gk = np.stack([(gm @ a.T).reshape(cout, cin, -1) for a in _columns(x.data, k, strides)[0]], 2)
+        gx = None
+        if x.requires_grad:
+            gz = np.zeros((cout,) + spatial)
+            gz[(slice(None),) + tuple(slice(None, None, s) for s in strides)] = g
+            flipped = np.flip(kernel.data, tuple(range(2, 2 + nd))).swapaxes(0, 1)
+            gx = _correlate(gz, flipped, np.zeros(cin), (1,) * nd)
+        return gx, gk.reshape(kernel.data.shape), gm.sum(axis=1)
 
     return _make(out, (x, kernel, bias), backward)
 

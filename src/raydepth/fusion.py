@@ -65,14 +65,12 @@ def depth_positional_encoding(count, dim):
 
 @dataclass(eq=False)
 class AttentionBlockParams:
-    """Linear projections of one attention block; ``shared`` marks whether
-    the two self-attention streams reuse the same tensors."""
+    """Linear projections of one attention block."""
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
-    shared: bool = False
 
 
 def attention(q, k, v, params, heads=1, score_bias=None):
@@ -151,16 +149,15 @@ def add_fusion_params(store, rng, channels, share_self_attention=False):
 
 
 def fusion_blocks(params, share_self_attention=False):
-    def block(name, shared=False):
+    def block(name):
         return AttentionBlockParams(
             wq=params[f"fusion.{name}.wq"],
             wk=params[f"fusion.{name}.wk"],
             wv=params[f"fusion.{name}.wv"],
             wo=params[f"fusion.{name}.wo"],
-            shared=shared,
         )
 
-    cur = block("self_cur", shared=share_self_attention)
+    cur = block("self_cur")
     prev = cur if share_self_attention else block("self_prev")
     return cur, prev, block("cross")
 

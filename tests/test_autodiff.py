@@ -172,7 +172,9 @@ class TestConv3d:
         assert cotangent_fd_check(ad.conv3d, arrays, 70, stride=stride) < 1e-4
 
     @pytest.mark.parametrize("stride", [1, 2, (1, 2, 2), (2, 1, 2)])
-    @pytest.mark.parametrize("shape,k", [((2, 3, 5, 7), 3), ((1, 4, 4, 4), 3), ((3, 2, 3, 6), 5)])
+    @pytest.mark.parametrize(
+        "shape,k", [((2, 3, 5, 7), 3), ((1, 4, 4, 4), 3), ((3, 2, 3, 6), 5), ((2, 3, 4, 5), 1)]
+    )
     def test_matches_direct_correlation(self, shape, k, stride):
         rng = np.random.default_rng(sum(shape) + k)
         x = rng.normal(size=shape)
@@ -203,7 +205,7 @@ class TestConv2dAndResampling:
             assert cotangent_fd_check(ad.conv2d, arrays, 80 + stride, stride=stride) < 1e-4
 
     @pytest.mark.parametrize("stride", [1, 2, (1, 2), (2, 1)])
-    @pytest.mark.parametrize("shape,k", [((2, 5, 7), 3), ((3, 6, 5), 3), ((1, 4, 9), 5)])
+    @pytest.mark.parametrize("shape,k", [((2, 5, 7), 3), ((3, 6, 5), 3), ((1, 4, 9), 5), ((2, 4, 5), 1)])
     def test_conv2d_matches_direct_correlation(self, shape, k, stride):
         rng = np.random.default_rng(sum(shape) + k)
         x = rng.normal(size=shape)
@@ -261,6 +263,11 @@ CONV_CASES = [
     (ad.conv2d, shape, k, stride)
     for stride in [1, 2, (1, 2), (2, 1)]
     for shape, k in [((2, 5, 7), 3), ((3, 6, 5), 3), ((1, 4, 9), 5)]
+] + [
+    # k = 1: no padding
+    (op, shape, 1, stride)
+    for op, shape in [(ad.conv3d, (2, 3, 4, 5)), (ad.conv2d, (2, 4, 5))]
+    for stride in [1, 2]
 ]
 
 
@@ -284,6 +291,39 @@ class TestConvAdjoint:
         np.testing.assert_allclose(np.vdot(x.data, x.grad), lhs, rtol=1e-12, atol=0)
         np.testing.assert_allclose(np.vdot(kernel.data, kernel.grad), lhs, rtol=1e-12, atol=0)
         np.testing.assert_allclose(bias.grad, g.reshape(2, -1).sum(axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("op,shape,k,stride", CONV_CASES)
+    def test_input_gradient_entrywise(self, op, shape, k, stride):
+        """``x.grad == A^T g`` entry by entry, with the convolution's matrix
+        ``A`` built column by column from the direct-correlation oracle."""
+        rng = np.random.default_rng(sum(shape) + 20 * k)
+        nd, zero_bias = len(shape) - 1, np.zeros(2)
+        x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        kernel = rng.normal(size=(2, shape[0]) + (k,) * nd)
+        y = op(x, ad.Tensor(kernel), ad.Tensor(zero_bias), stride=stride)
+        g = rng.normal(size=y.shape)
+        (y * g).sum().backward()
+        a = np.stack(
+            [direct_correlation(e.reshape(shape), kernel, zero_bias, stride).ravel() for e in np.eye(x.size)],
+            axis=1,
+        )
+        expected = (a.T @ g.ravel()).reshape(shape)
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("op,shape,stride", [(ad.conv2d, (3, 6, 5), 2), (ad.conv3d, (2, 3, 5, 7), (1, 2, 2))])
+    def test_untracked_input_gets_no_gradient(self, op, shape, stride):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=shape)
+        kernel = ad.Tensor(rng.normal(size=(2, shape[0]) + (3,) * (len(shape) - 1)), requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=2), requires_grad=True)
+        tracked = op(ad.Tensor(x, requires_grad=True), kernel, bias, stride=stride)
+        untracked = op(ad.Tensor(x), kernel, bias, stride=stride)
+        g = rng.normal(size=tracked.shape)
+        gx, gk, gb = untracked.op[1](g)
+        tracked_gx, tracked_gk, tracked_gb = tracked.op[1](g)
+        assert gx is None and tracked_gx is not None
+        np.testing.assert_array_equal(gk, tracked_gk)
+        np.testing.assert_array_equal(gb, tracked_gb)
 
 
 class TestConvMemory:
