@@ -30,7 +30,6 @@ def _load_config(args):
         cfg.mode = args.mode
     if getattr(args, "no_refine", False):
         cfg.refinement = False
-        cfg.loss.spn_l1 = False
     if getattr(args, "out", None) is not None:
         cfg.paths.out_dir = args.out
     return validate_config(cfg)

@@ -9,6 +9,7 @@ downscale 4, fused mode, refinement on).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, is_dataclass
 from types import NoneType, UnionType
@@ -29,7 +30,6 @@ class LossConfig:
     use_l1: bool = True
     use_l2: bool = False
     use_ce: bool = True
-    spn_l1: bool = False
 
     def enabled_terms(self):
         terms = []
@@ -68,9 +68,6 @@ class RunConfig:
     refinement: bool = True
     refine_iterations: int = 6
     refine_channels: int = 8
-    residual: bool = True
-    heads: int = 1
-    share_self_attention: bool = False
     mask_invalid_previous: bool = False
     temporal_grad: bool = False
     loss: LossConfig = field(default_factory=LossConfig)
@@ -137,10 +134,10 @@ def validate_config(cfg):
                           f"{cfg.channels}")
     if len(cfg.image_channels) != 3 or any(c < 1 for c in cfg.image_channels):
         raise ConfigError("image_channels must be three positive widths")
-    if cfg.heads < 1 or cfg.channels % cfg.heads:
-        raise ConfigError(f"heads must divide channels, got {cfg.heads} vs {cfg.channels}")
     if cfg.refine_iterations < 0:
         raise ConfigError("refine_iterations must be >= 0")
+    if cfg.refine_channels < 1:
+        raise ConfigError(f"refine_channels must be >= 1, got {cfg.refine_channels}")
     if not cfg.loss.enabled_terms():
         raise ConfigError("at least one loss term must be enabled")
     if (cfg.sparse_count is None) == (cfg.sparse_fraction is None):
@@ -152,8 +149,13 @@ def validate_config(cfg):
     if cfg.eval_range is not None:
         if len(cfg.eval_range) != 2 or not (cfg.eval_range[0] < cfg.eval_range[1]):
             raise ConfigError("eval_range must be [low, high] with low < high")
-    if cfg.optimizer.epochs < 0 or cfg.optimizer.learning_rate <= 0:
-        raise ConfigError("optimizer needs epochs >= 0 and a positive learning rate")
+    opt = cfg.optimizer
+    if opt.epochs < 0:
+        raise ConfigError(f"optimizer.epochs must be >= 0, got {opt.epochs}")
+    if not 0 < opt.learning_rate < math.inf:
+        raise ConfigError(f"optimizer.learning_rate must be finite and positive, got {opt.learning_rate}")
+    if not 0 <= opt.weight_decay < math.inf:
+        raise ConfigError(f"optimizer.weight_decay must be finite and >= 0, got {opt.weight_decay}")
     for name in ("sequence_dir", "checkpoint", "scene"):
         path = getattr(cfg.paths, name)
         if path is not None and not os.path.exists(path):

@@ -1,8 +1,9 @@
 """Desk-scale experiment protocols shared by the runnable scripts and the
 tests: single-frame overfitting, fused-vs-single-view comparison, and
 sparsity robustness.  All of them run on the procedural scenes, so every
-number is reproducible from a seed, and all of them train and evaluate
-through harness's one training driver and one streaming loop."""
+number is reproducible from a seed, and all of them train through
+training's one epoch loop and evaluate through harness's one streaming
+loop."""
 
 from __future__ import annotations
 
@@ -65,7 +66,8 @@ def overfit_run(seed=0, steps=500, loss=None, sparse_count=30):
     params = init_parameters(cfg)
     state = training.init_optimizer(params, cfg.optimizer)
     gt = [dense for _, dense, _ in frames]
-    params, trace = training.train_sequence(sparse_inputs(cfg, frames), gt, K, params, state, cfg, epochs=steps)
+    inputs = sparse_inputs(cfg, frames)
+    params, trace = training.train_sequence(lambda _: inputs, gt, K, params, state, cfg, epochs=steps)
     (mae,) = evaluate_sequence(cfg, params, frames, K)
     return mae, [row[4] for row in trace.rows]
 

@@ -73,9 +73,9 @@ class AttentionBlockParams:
     wo: Tensor
 
 
-def attention(q, k, v, params, heads=1, score_bias=None):
-    """Single- or multi-head scaled dot-product attention with learned
-    projections on queries, keys, values, and output.
+def attention(q, k, v, params, score_bias=None):
+    """Scaled dot-product attention with learned projections on queries,
+    keys, values, and output.
 
     Inputs are (..., D, C); leading axes batch independent rays.
     """
@@ -88,37 +88,16 @@ def attention(q, k, v, params, heads=1, score_bias=None):
             raise DimensionError(f"attention {name} must be ({c}, {c}), got {w.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
-    if c % heads != 0:
-        raise ParameterError(f"channels {c} not divisible by {heads} heads")
     q2 = ad.matmul(q, params.wq)
     k2 = ad.matmul(k, params.wk)
     v2 = ad.matmul(v, params.wv)
-    if heads > 1:
-        hd = c // heads
-        lead = q.shape[:-2]
-        nl = len(lead)
-
-        def split(t, d):
-            t = ad.reshape(t, lead + (d, heads, hd))
-            return ad.transpose(t, tuple(range(nl)) + (nl + 1, nl, nl + 2))
-
-        q2, k2, v2 = split(q2, q.shape[-2]), split(k2, k.shape[-2]), split(v2, k.shape[-2])
-        scale = 1.0 / np.sqrt(hd)
-    else:
-        scale = 1.0 / np.sqrt(c)
     scores = ad.matmul(q2, ad.transpose(k2, tuple(range(k2.ndim - 2)) + (k2.ndim - 1, k2.ndim - 2)))
-    scores = scores * scale
+    scores = scores * (1.0 / np.sqrt(c))
     score_meter.record(scores.size, int(np.prod(scores.shape[:-2], dtype=np.int64)))
     if score_bias is not None:
         scores = scores + Tensor(score_bias)
     weights = ad.softmax_lastdim(scores)
-    out = ad.matmul(weights, v2)
-    if heads > 1:
-        lead = q.shape[:-2]
-        nl = len(lead)
-        out = ad.transpose(out, tuple(range(nl)) + (nl + 1, nl, nl + 2))
-        out = ad.reshape(out, lead + (q.shape[-2], c))
-    return ad.matmul(out, params.wo)
+    return ad.matmul(ad.matmul(weights, v2), params.wo)
 
 
 def attention_entry_count(d, h, w, mode):
@@ -135,20 +114,19 @@ def attention_entry_count(d, h, w, mode):
 # -- parameters ---------------------------------------------------------------
 
 
-def add_fusion_params(store, rng, channels, share_self_attention=False):
+def add_fusion_params(store, rng, channels):
     c = channels
     for i in range(2):
         store.add(
             f"fusion.pre{i}.weight", uniform_init(rng, (c, c, 3, 3, 3), c * 27, c * 27)
         )
         store.add(f"fusion.pre{i}.bias", np.zeros(c))
-    streams = ["self_cur", "cross"] if share_self_attention else ["self_cur", "self_prev", "cross"]
-    for name in streams:
+    for name in ("self_cur", "self_prev", "cross"):
         for w in ("wq", "wk", "wv", "wo"):
             store.add(f"fusion.{name}.{w}", uniform_init(rng, (c, c), c, c))
 
 
-def fusion_blocks(params, share_self_attention=False):
+def fusion_blocks(params):
     def block(name):
         return AttentionBlockParams(
             wq=params[f"fusion.{name}.wq"],
@@ -157,9 +135,7 @@ def fusion_blocks(params, share_self_attention=False):
             wo=params[f"fusion.{name}.wo"],
         )
 
-    cur = block("self_cur")
-    prev = cur if share_self_attention else block("self_prev")
-    return cur, prev, block("cross")
+    return block("self_cur"), block("self_prev"), block("cross")
 
 
 def pre_fusion_convs(v, params):
@@ -180,18 +156,18 @@ def _from_rays(rays, shape):
     return ad.transpose(ad.reshape(rays, (h, w, d, c)), (2, 3, 0, 1))
 
 
-def _fuse(current, previous_aligned, params, whole_volume, *, residual, heads, share_self_attention,
-          mask_invalid_previous):
+def _fuse(current, previous_aligned, params, whole_volume, mask_invalid_previous):
     """The fusion core.  Tokens are grouped per ray, (H*W, D, C), or with
     ``whole_volume`` into one group of every voxel, (1, D*H*W, C); attention
-    runs within each group, so only the score-buffer size differs."""
+    runs within each group, so only the score-buffer size differs.  The
+    result is added back to the pre-fused current volume."""
     d, c, h, w = current.features.shape
     if previous_aligned is not None and previous_aligned.features.shape != (d, c, h, w):
         raise DimensionError(
             f"volume shapes disagree: {current.features.shape} vs {previous_aligned.features.shape}"
         )
     groups = (1, h * w * d) if whole_volume else (h * w, d)
-    sa_block, sa_prev_block, cross_block = fusion_blocks(params, share_self_attention)
+    sa_block, sa_prev_block, cross_block = fusion_blocks(params)
     pe = depth_positional_encoding(d, c)
 
     def tokens(features):
@@ -200,49 +176,35 @@ def _fuse(current, previous_aligned, params, whole_volume, *, residual, heads, s
 
     g_cur = pre_fusion_convs(current, params)
     x_cur = tokens(g_cur.features)
-    fused = attention(x_cur, x_cur, x_cur, sa_block, heads=heads)
+    fused = attention(x_cur, x_cur, x_cur, sa_block)
     if previous_aligned is not None:
         x_prev = tokens(pre_fusion_convs(previous_aligned, params).features)
-        sa_prev = attention(x_prev, x_prev, x_prev, sa_prev_block, heads=heads)
+        sa_prev = attention(x_prev, x_prev, x_prev, sa_prev_block)
         key_bias = any_valid = None
         if mask_invalid_previous and previous_aligned.validity is not None:
             vmask = previous_aligned.validity.transpose(1, 2, 0).reshape(groups)
             key_bias = np.where(vmask, 0.0, -_MASK_PENALTY)[:, None, :]
             any_valid = vmask.any(axis=1).astype(np.float64)[:, None, None]
-        fused = attention(fused, sa_prev, sa_prev, cross_block, heads=heads, score_bias=key_bias)
+        fused = attention(fused, sa_prev, sa_prev, cross_block, score_bias=key_bias)
         if any_valid is not None:
             fused = fused * Tensor(any_valid)
     if whole_volume:
         fused = ad.reshape(fused, (h * w, d, c))
-    out = _from_rays(fused, (d, c, h, w))
-    if residual:
-        out = out + g_cur.features
-    return CostVolume(current.planes, out)
+    return CostVolume(current.planes, _from_rays(fused, (d, c, h, w)) + g_cur.features)
 
 
-def fuse_volumes(
-    current,
-    previous_aligned,
-    params,
-    *,
-    residual=True,
-    heads=1,
-    share_self_attention=False,
-    mask_invalid_previous=False,
-):
+def fuse_volumes(current, previous_aligned, params, *, mask_invalid_previous=False):
     """Fuse the current cost volume with the aligned previous one, ray by ray.
 
     With ``previous_aligned`` None (first frame / single-view mode) only the
     current volume's self-attention runs.
     """
-    return _fuse(current, previous_aligned, params, False, residual=residual, heads=heads,
-                 share_self_attention=share_self_attention, mask_invalid_previous=mask_invalid_previous)
+    return _fuse(current, previous_aligned, params, False, mask_invalid_previous)
 
 
-def fuse_volumes_naive(current, previous_aligned, params, *, residual=True, heads=1, share_self_attention=False):
+def fuse_volumes_naive(current, previous_aligned, params):
     """Whole-volume attention: the same fusion core with every voxel of a
     volume in one token group, so score buffers hold (D*H*W)^2 entries.
     Where H = W = 1 the two groupings coincide; elsewhere each token attends
     to more keys than its own ray's.  Only meant for small benchmark sizes."""
-    return _fuse(current, previous_aligned, params, True, residual=residual, heads=heads,
-                 share_self_attention=share_self_attention, mask_invalid_previous=False)
+    return _fuse(current, previous_aligned, params, True, False)

@@ -1,6 +1,6 @@
 """Sequence-level drivers shared by the CLI, the experiment protocols and the
-test suite: the one no-grad streaming frame loop, the one training driver
-with per-epoch sparse resampling, and the full-pipeline gradient check."""
+test suite: the one no-grad streaming frame loop, the training driver that
+resamples sparse inputs every epoch, and the full-pipeline gradient check."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ def eval_range(cfg):
     return (cfg.planes.d_min, cfg.planes.d_max)
 
 
-def stream_frames(cfg, params, frames, K, mode=None):
+def stream_frames(cfg, params, frames, K):
     """Stream in-memory (img, dense, pose) frames through the pipeline without
     recording a graph, carrying the fused volume from frame to frame.
 
@@ -49,11 +49,11 @@ def stream_frames(cfg, params, frames, K, mode=None):
     state = None
     for t, (img, sparse, pose) in enumerate(sparse_inputs(cfg, frames)):
         with ad.no_grad():
-            result, state = forward_frame(img, sparse, pose, state, params, cfg, K, mode=mode)
+            result, state = forward_frame(img, sparse, pose, state, params, cfg, K)
         yield t, result, compute_metrics(result.output, frames[t][1], low, high)
 
 
-def run_inference(cfg, params, seq_dir=None, out_dir=None, mode=None):
+def run_inference(cfg, params, seq_dir=None, out_dir=None):
     """Stream a sequence directory through the pipeline.
 
     Writes depth_%04d.pfm, conf_%04d.pfm, and metrics.csv when ``out_dir``
@@ -64,7 +64,7 @@ def run_inference(cfg, params, seq_dir=None, out_dir=None, mode=None):
         raise ParameterError("inference needs a sequence directory")
     frames, K = synth.load_sequence(seq_dir)
     rows, outputs = [], []
-    for t, result, m in stream_frames(cfg, params, frames, K, mode=mode):
+    for t, result, m in stream_frames(cfg, params, frames, K):
         outputs.append(result.output)
         rows.append((t, m))
         if out_dir is not None:
@@ -76,33 +76,28 @@ def run_inference(cfg, params, seq_dir=None, out_dir=None, mode=None):
     return rows, outputs
 
 
-def train_frames(cfg, frames, K, mode=None, epochs=None):
+def train_frames(cfg, frames, K, epochs=None):
     """Train on in-memory (img, dense, pose) frames, drawing fresh sparse
-    inputs every epoch; returns the params, optimizer state, and the
-    concatenated loss trace."""
-    gt = [dense for _, dense, _ in frames]
+    inputs every epoch; returns the params, optimizer state, and loss trace."""
     params = init_parameters(cfg)
     opt_state = training.init_optimizer(params, cfg.optimizer)
-    epochs = cfg.optimizer.epochs if epochs is None else epochs
-    trace = training.LossTrace()
-    for epoch in range(epochs):
-        inputs = sparse_inputs(cfg, frames, epoch=epoch)
-        params, piece = training.train_sequence(inputs, gt, K, params, opt_state, cfg, epochs=1, mode=mode)
-        trace.rows.extend((epoch, f, l1, ce, tot) for _, f, l1, ce, tot in piece.rows)
-        trace.epoch_means.extend(piece.epoch_means)
+    gt = [dense for _, dense, _ in frames]
+    params, trace = training.train_sequence(
+        lambda epoch: sparse_inputs(cfg, frames, epoch=epoch), gt, K, params, opt_state, cfg, epochs=epochs
+    )
     return params, opt_state, trace
 
 
-def run_training(cfg, seq_dir=None, mode=None, epochs=None):
+def run_training(cfg, seq_dir=None, epochs=None):
     """Train on one sequence directory per the config; see train_frames."""
     seq_dir = seq_dir or cfg.paths.sequence_dir
     if seq_dir is None:
         raise ParameterError("training needs a sequence directory")
     frames, K = synth.load_sequence(seq_dir)
-    return train_frames(cfg, frames, K, mode=mode, epochs=epochs)
+    return train_frames(cfg, frames, K, epochs=epochs)
 
 
-def gradcheck_loss_builder(cfg, n_frames=2, scene_seed=None):
+def gradcheck_loss_builder(cfg, n_frames=2):
     """Deterministic tiny clip plus a closure mapping params to the summed
     per-frame training loss; used by the full-pipeline gradient check.
 
@@ -112,13 +107,7 @@ def gradcheck_loss_builder(cfg, n_frames=2, scene_seed=None):
     """
     cfg = dataclasses.replace(cfg, temporal_grad=True)
     size = 4 * cfg.downscale
-    spec, K = synth.default_scene(
-        cfg.seed if scene_seed is None else scene_seed,
-        width=size,
-        height=size,
-        frame_count=n_frames,
-        step=0.05,
-    )
+    spec, K = synth.default_scene(cfg.seed, width=size, height=size, frame_count=n_frames, step=0.05)
     planes = planes_for(cfg)
     frames = []
     for t in range(n_frames):

@@ -47,21 +47,20 @@ def init_parameters(cfg, seed=None):
     store = ParameterStore()
     cv.add_image_encoder_params(store, rng, cfg.image_channels)
     cv.add_unet_params(store, rng, 2 + sum(cfg.image_channels), cfg.channels)
-    fusion.add_fusion_params(store, rng, cfg.channels, cfg.share_self_attention)
+    fusion.add_fusion_params(store, rng, cfg.channels)
     regression.add_regression_params(store, rng, cfg.channels, cfg.downscale)
     if cfg.refinement:
         regression.add_refine_params(store, rng, cfg.refine_channels)
     return store
 
 
-def forward_frame(img, sparse, pose, state, params, cfg, K, mode=None):
+def forward_frame(img, sparse, pose, state, params, cfg, K):
     """Run one frame through the pipeline.
 
     Returns the frame's outputs and the state to carry to the next frame.
     ``state`` is None on the first frame; in single-view mode the previous
     volume is ignored and only self-attention runs.
     """
-    mode = cfg.mode if mode is None else mode
     planes = planes_for(cfg)
     k_vol = scale_intrinsics(K, cfg.downscale)
 
@@ -73,19 +72,11 @@ def forward_frame(img, sparse, pose, state, params, cfg, K, mode=None):
     current = cv.encode_cost_volume(feat, params, planes)
 
     previous = None
-    if mode == "fused" and state is not None:
+    if cfg.mode == "fused" and state is not None:
         cur_to_prev = relative_pose(state.pose, pose)
         previous = align_volume(state.volume, cur_to_prev, k_vol, planes)
 
-    fused = fusion.fuse_volumes(
-        current,
-        previous,
-        params,
-        residual=cfg.residual,
-        heads=cfg.heads,
-        share_self_attention=cfg.share_self_attention,
-        mask_invalid_previous=cfg.mask_invalid_previous,
-    )
+    fused = fusion.fuse_volumes(current, previous, params, mask_invalid_previous=cfg.mask_invalid_previous)
 
     logits = regression.to_unnormalized_probability(fused, params, cfg.downscale)
     depth, prob = regression.regress_depth(logits, planes)
@@ -95,10 +86,7 @@ def forward_frame(img, sparse, pose, state, params, cfg, K, mode=None):
         refined = regression.refine_depth(depth, conf, img, sparse, params, cfg.refine_iterations)
 
     carry_attached = cfg.temporal_grad and (state is None or not state.attached)
-    if carry_attached:
-        carried = fused
-    else:
-        carried = CostVolume(planes, fused.features.detach(), fused.validity)
+    carried = fused if carry_attached else CostVolume(planes, fused.features.detach())
     return (
         FrameResult(regressed=depth, refined=refined, prob=prob, confidence=conf, fused=fused),
         FrameState(carried, pose, attached=carry_attached),

@@ -97,12 +97,11 @@ def total_loss(cfg, parts):
 def frame_loss(result, gt, loss_cfg, planes):
     """All loss parts for one frame plus their configured total.
 
-    With ``spn_l1`` the depth losses see the refined depth while the cross
-    entropy stays on the pre-refinement probability volume.
+    The depth losses see the frame's output depth, which is the refined one
+    when refinement is on; the cross entropy sees the pre-refinement
+    probability volume.
     """
-    depth = result.regressed
-    if loss_cfg.spn_l1 and result.refined is not None:
-        depth = result.refined
+    depth = result.output
     parts = {
         "l1": l1_loss(depth, gt),
         "l2": l2_loss(depth, gt),
@@ -167,30 +166,38 @@ def optimizer_step(params, state):
 @dataclass
 class LossTrace:
     rows: list = field(default_factory=list)  # (epoch, frame, l1, ce, total)
-    epoch_means: list = field(default_factory=list)
+
+    @property
+    def epoch_means(self):
+        """Mean total loss of each epoch, in epoch order."""
+        totals = {}
+        for epoch, _, _, _, total in self.rows:
+            totals.setdefault(epoch, []).append(total)
+        return [float(np.mean(v)) for v in totals.values()]
 
 
-def train_sequence(frames, gt, K, params, opt_state, cfg, epochs=None, mode=None):
-    """Stream the frame sequence in temporal order, one optimizer step per
-    frame, carrying the fused volume across frames within each epoch.
+def train_sequence(epoch_frames, gt, K, params, opt_state, cfg, epochs=None):
+    """Stream each epoch's frames in temporal order, one optimizer step per
+    frame, carrying the fused volume across frames within an epoch.
 
-    ``frames`` holds (RGBImage, SparseDepthMap, Pose) triples; ``gt`` the
-    per-frame supervision maps.  Returns the params and a loss trace whose
-    epoch_means has one entry per epoch.
+    ``epoch_frames(epoch)`` returns that epoch's (RGBImage, SparseDepthMap,
+    Pose) triples, so callers choose fixed or per-epoch resampled sparse
+    inputs; ``gt`` holds the per-frame supervision maps.  Returns the params
+    and the loss trace.
     """
-    if not frames:
+    if not gt:
         raise TrainingError("need at least one frame")
-    if len(gt) != len(frames):
-        raise TrainingError(f"{len(frames)} frames but {len(gt)} ground-truth maps")
     epochs = cfg.optimizer.epochs if epochs is None else epochs
     planes = planes_for(cfg)
     trace = LossTrace()
     for epoch in range(epochs):
+        frames = epoch_frames(epoch)
+        if len(frames) != len(gt):
+            raise TrainingError(f"{len(frames)} frames but {len(gt)} ground-truth maps")
         state = None
-        totals = []
         for index, (img, sparse, pose) in enumerate(frames):
             params.zero_grad()
-            result, state = forward_frame(img, sparse, pose, state, params, cfg, K, mode=mode)
+            result, state = forward_frame(img, sparse, pose, state, params, cfg, K)
             loss, parts = frame_loss(result, gt[index], cfg.loss, planes)
             loss.backward()
             for _, p in params.items():
@@ -202,8 +209,6 @@ def train_sequence(frames, gt, K, params, opt_state, cfg, epochs=None, mode=None
             trace.rows.append(
                 (epoch, index, parts["l1"].item(), parts["ce"].item(), loss.item())
             )
-            totals.append(loss.item())
-        trace.epoch_means.append(float(np.mean(totals)))
     return params, trace
 
 

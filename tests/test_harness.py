@@ -1,6 +1,7 @@
 """Config parsing, metrics, benchmark rows, inference/training drivers, and
 the CLI surface."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -43,11 +44,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(path)
 
-    def test_unknown_key_names_path(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"optimizer": {"bogus": 1}}))
-        with pytest.raises(ConfigError, match="optimizer.bogus"):
-            parse_config(path)
+    @pytest.mark.parametrize(
+        "raw,path",
+        [
+            pytest.param({"optimizer": {"bogus": 1}}, "'optimizer.bogus'", id="typo"),
+            pytest.param({"heads": 1}, "'heads'", id="removed-heads"),
+            pytest.param({"residual": True}, "'residual'", id="removed-residual"),
+            pytest.param({"share_self_attention": False}, "'share_self_attention'", id="removed-share"),
+            pytest.param({"loss": {"spn_l1": True}}, "'loss.spn_l1'", id="removed-spn_l1"),
+        ],
+    )
+    def test_unknown_key_names_path(self, tmp_path, raw, path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=path):
+            parse_config(cfg_path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -103,6 +114,23 @@ class TestConfig:
     )
     def test_mistyped_value_names_path(self, raw, path):
         with pytest.raises(ConfigError, match=path):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "raw,name",
+        [
+            pytest.param({"refine_channels": 0}, "refine_channels", id="refine-channels-zero"),
+            pytest.param({"refine_channels": -1}, "refine_channels", id="refine-channels-negative"),
+            pytest.param({"optimizer": {"learning_rate": float("nan")}}, "learning_rate", id="lr-nan"),
+            pytest.param({"optimizer": {"learning_rate": float("inf")}}, "learning_rate", id="lr-inf"),
+            pytest.param({"optimizer": {"learning_rate": 0}}, "learning_rate", id="lr-zero"),
+            pytest.param({"optimizer": {"weight_decay": -1e-4}}, "weight_decay", id="wd-negative"),
+            pytest.param({"optimizer": {"weight_decay": float("nan")}}, "weight_decay", id="wd-nan"),
+            pytest.param({"optimizer": {"weight_decay": float("inf")}}, "weight_decay", id="wd-inf"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, raw, name):
+        with pytest.raises(ConfigError, match=name):
             config_from_dict(raw)
 
     def test_int_accepted_for_float_field(self):
@@ -223,8 +251,8 @@ class TestDrivers:
         synth.generate_sequence(spec, K, seq)
         cfg = tiny_run_config(seq)
         params = init_parameters(cfg)
-        rows_f, out_f = harness.run_inference(cfg, params, mode="fused")
-        rows_s, out_s = harness.run_inference(cfg, params, mode="single_view")
+        rows_f, out_f = harness.run_inference(dataclasses.replace(cfg, mode="fused"), params)
+        rows_s, out_s = harness.run_inference(dataclasses.replace(cfg, mode="single_view"), params)
         np.testing.assert_array_equal(out_f[0].depth.data, out_s[0].depth.data)
 
     def test_inference_is_deterministic(self, tiny_sequence, tmp_path):
@@ -292,6 +320,20 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"channels": "8"}))
         assert self._run("train", "--config", str(bad)) == 2
+
+    @pytest.mark.parametrize(
+        "raw,name",
+        [
+            pytest.param({"heads": 1}, "heads", id="removed-key"),
+            pytest.param({"refine_channels": 0}, "refine_channels", id="refine-channels-zero"),
+            pytest.param({"optimizer": {"learning_rate": float("nan")}}, "learning_rate", id="lr-nan"),
+        ],
+    )
+    def test_rejected_config_exit_code(self, tmp_path, capsys, raw, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert self._run("train", "--config", str(bad)) == 2
+        assert name in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path):
         # checkpoint that does not match the configured architecture

@@ -50,7 +50,7 @@ class TestEdgeInputs:
         state = first_state(cfg, K, frames, sparse, params)
         img, _, pose = frames[1]
         with ad.no_grad():
-            result, _ = pipeline.forward_frame(img, empty, pose, state, params, cfg, K, mode="fused")
+            result, _ = pipeline.forward_frame(img, empty, pose, state, params, cfg, K)
         assert_depth_defined(result)
 
     def test_previous_volume_out_of_frustum(self, clip):
@@ -66,5 +66,5 @@ class TestEdgeInputs:
         )
         assert aligned.validity.size > 0 and not aligned.validity.any()
         with ad.no_grad():
-            result, _ = pipeline.forward_frame(img, sparse[1], far, state, params, cfg, K, mode="fused")
+            result, _ = pipeline.forward_frame(img, sparse[1], far, state, params, cfg, K)
         assert_depth_defined(result)

@@ -262,7 +262,7 @@ class TestTrainSequence:
         params = init_parameters(cfg, seed=0)
         before = {p: params[p].data.copy() for p in params.paths()}
         state = tr.init_optimizer(params, cfg.optimizer)
-        params, trace = tr.train_sequence(frames, gts, K, params, state, cfg, epochs=0)
+        params, trace = tr.train_sequence(lambda _: frames, gts, K, params, state, cfg, epochs=0)
         assert trace.epoch_means == []
         for p in params.paths():
             np.testing.assert_array_equal(params[p].data, before[p])
@@ -274,7 +274,7 @@ class TestTrainSequence:
         frames, gts, K = tiny_frames(cfg)
         params = init_parameters(cfg, seed=0)
         state = tr.init_optimizer(params, cfg.optimizer)
-        params, trace = tr.train_sequence(frames, gts, K, params, state, cfg, epochs=3)
+        params, trace = tr.train_sequence(lambda _: frames, gts, K, params, state, cfg, epochs=3)
         assert len(trace.epoch_means) == 3
         assert len(trace.rows) == 3 * len(frames)
         assert np.isfinite(trace.epoch_means).all()
@@ -286,13 +286,60 @@ class TestTrainSequence:
         frames, gts, K = tiny_frames(cfg, n_frames=1)
         params = init_parameters(cfg, seed=0)
         state = tr.init_optimizer(params, cfg.optimizer)
-        params, trace = tr.train_sequence(frames, gts, K, params, state, cfg, epochs=30)
+        params, trace = tr.train_sequence(lambda _: frames, gts, K, params, state, cfg, epochs=30)
         assert trace.epoch_means[-1] < trace.epoch_means[0]
 
     def test_loss_trace_csv(self, tmp_path):
-        trace = tr.LossTrace(rows=[(0, 0, 0.5, 0.25, 0.75)], epoch_means=[0.75])
+        trace = tr.LossTrace(rows=[(0, 0, 0.5, 0.25, 0.75)])
         path = tmp_path / "trace.csv"
         tr.write_loss_trace(path, trace)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,frame,l1,ce,total"
         assert lines[1] == "0,0,0.5,0.25,0.75"
+
+    def test_epoch_frames_called_once_per_epoch(self):
+        from raydepth.pipeline import init_parameters
+
+        cfg = tiny_config()
+        frames, gts, K = tiny_frames(cfg)
+        params = init_parameters(cfg, seed=0)
+        state = tr.init_optimizer(params, cfg.optimizer)
+        asked = []
+
+        def epoch_frames(epoch):
+            asked.append(epoch)
+            return frames
+
+        _, trace = tr.train_sequence(epoch_frames, gts, K, params, state, cfg, epochs=2)
+        assert asked == [0, 1]
+        assert [row[:2] for row in trace.rows] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_frame_count_mismatch_rejected(self):
+        from raydepth.pipeline import init_parameters
+
+        cfg = tiny_config()
+        frames, gts, K = tiny_frames(cfg)
+        params = init_parameters(cfg, seed=0)
+        state = tr.init_optimizer(params, cfg.optimizer)
+        with pytest.raises(TrainingError, match="1 frames but 2"):
+            tr.train_sequence(lambda _: frames[:1], gts, K, params, state, cfg, epochs=1)
+
+    def test_epoch_means_derived_from_rows(self):
+        trace = tr.LossTrace(rows=[(0, 0, 0, 0, 1.0), (0, 1, 0, 0, 3.0), (1, 0, 0, 0, 5.0)])
+        assert trace.epoch_means == [2.0, 5.0]
+
+    def test_refinement_weights_get_trained(self):
+        # the depth losses see the refined depth, so one step moves the
+        # refinement weights by more than their weight decay
+        from raydepth.pipeline import init_parameters
+
+        cfg = tiny_config()
+        assert cfg.refinement
+        frames, gts, K = tiny_frames(cfg, n_frames=1)
+        params = init_parameters(cfg, seed=0)
+        before = {p: params[p].data.copy() for p in params.paths() if p.startswith("refine.")}
+        state = tr.init_optimizer(params, cfg.optimizer)
+        tr.train_sequence(lambda _: frames, gts, K, params, state, cfg, epochs=1)
+        decay = 1.0 - cfg.optimizer.learning_rate * cfg.optimizer.weight_decay
+        moved = max(np.abs(params[p].data - before[p] * decay).max() for p in before)
+        assert moved > 0.1 * cfg.optimizer.learning_rate
