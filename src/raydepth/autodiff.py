@@ -5,18 +5,19 @@ operation returns a fresh :class:`Tensor`; when gradient recording is
 enabled and any input is tracked, the output remembers its inputs and a
 closure that maps the output gradient to input gradients.
 
-Gradient accumulation is canonical: during :meth:`Tensor.backward` the
-contributions flowing into a node are summed in a fixed order (sorted by
-consumer node id and input slot), so any topological processing order
-yields bitwise-identical gradients.
+Node ids only increase, and an op's output is created after its inputs, so
+:meth:`Tensor.backward` visits nodes in decreasing id: every consumer of a
+node has run before the node itself.  Each node's gradient is a running sum
+of its consumers' contributions, added in the order they arrive, so one
+graph always yields the same gradients.  Only leaves keep them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 import math
-from collections import defaultdict
 
 import numpy as np
 
@@ -74,54 +75,39 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self, shuffle_rng=None):
-        """Accumulate gradients of this scalar into every tracked ancestor.
+    def backward(self):
+        """Accumulate gradients of this scalar into ``grad`` of every tracked
+        leaf.
 
-        ``shuffle_rng`` randomizes the processing order among ready nodes;
-        the result is bitwise-independent of that order.
+        Nodes are popped in decreasing ``nid``, so a node's gradient is
+        complete when its closure runs.  Intermediate nodes keep no
+        gradient, untracked inputs receive none, and an untracked root does
+        nothing.
         """
         if self.data.size != 1:
             raise ParameterError(
                 f"backward() requires a scalar output, got shape {self.shape}"
             )
-        nodes = {self.nid: self}
-        pending = defaultdict(int)
-        stack = [self]
-        while stack:
-            t = stack.pop()
-            if t.op is None:
-                continue
-            for parent in t.op[0]:
-                pending[parent.nid] += 1
-                if parent.nid not in nodes:
-                    nodes[parent.nid] = parent
-                    stack.append(parent)
-        contrib = defaultdict(list)
-        contrib[self.nid].append((-1, 0, np.ones_like(self.data)))
-        ready = [self.nid]
-        while ready:
-            if shuffle_rng is None:
-                nid = ready.pop()
-            else:
-                nid = ready.pop(int(shuffle_rng.integers(len(ready))))
-            node = nodes[nid]
-            parts = sorted(contrib.pop(nid, ()), key=lambda e: (e[0], e[1]))
-            if not parts:
-                continue
-            grad = parts[0][2]
-            for _, _, extra in parts[1:]:
-                grad = grad + extra
-            if node.requires_grad:
+        if not self.requires_grad:
+            return
+        grads = {self.nid: np.ones_like(self.data)}
+        heap = [(-self.nid, self)]
+        while heap:
+            _, node = heapq.heappop(heap)
+            grad = grads.pop(node.nid)
+            if node.op is None:
                 node.grad = grad if node.grad is None else node.grad + grad
-            if node.op is not None:
-                inputs, backward_fn = node.op
-                input_grads = backward_fn(grad)
-                for slot, (parent, g) in enumerate(zip(inputs, input_grads)):
-                    if g is not None:
-                        contrib[parent.nid].append((nid, slot, g))
-                    pending[parent.nid] -= 1
-                    if pending[parent.nid] == 0:
-                        ready.append(parent.nid)
+                continue
+            inputs, backward_fn = node.op
+            for parent, g in zip(inputs, backward_fn(grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.nid in grads:
+                    # out of place: one array may be handed to several inputs
+                    grads[parent.nid] = grads[parent.nid] + g
+                else:
+                    grads[parent.nid] = g
+                    heapq.heappush(heap, (-parent.nid, parent))
 
     # -- operator sugar -------------------------------------------------
 

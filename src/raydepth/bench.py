@@ -17,6 +17,7 @@ from . import autodiff as ad
 from . import fusion
 from .autodiff import Tensor
 from .cost_volume import CostVolume
+from .errors import ParameterError
 from .geometry import make_planes
 
 NAIVE_ENTRY_CAP = 2**26
@@ -58,6 +59,12 @@ def _measure(fn, repeats):
 
 def run_benchmark(d_list, h_list, w_list, c, repeats=3, cap=NAIVE_ENTRY_CAP, seed=0):
     """Fuse one frame of random volumes per size, in both modes."""
+    if repeats < 1:
+        raise ParameterError(f"repeats must be at least 1, got {repeats}")
+    sizes = {"depths": d_list, "heights": h_list, "widths": w_list, "channels": [c]}
+    for name, values in sizes.items():
+        if not values or min(values) < 1:
+            raise ParameterError(f"{name} must be positive, got {values}")
     rows = []
     for d, h, w in itertools.product(d_list, h_list, w_list):
         params = ad.ParameterStore()

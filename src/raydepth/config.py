@@ -28,15 +28,12 @@ class PlanesConfig:
 @dataclass
 class LossConfig:
     use_l1: bool = True
-    use_l2: bool = False
     use_ce: bool = True
 
     def enabled_terms(self):
         terms = []
         if self.use_l1:
             terms.append("l1")
-        if self.use_l2:
-            terms.append("l2")
         if self.use_ce:
             terms.append("ce")
         return terms

@@ -43,9 +43,6 @@ class ScoreAllocationMeter:
     def peak_bytes(self):
         return self.peak_entries * 8
 
-    def peak_entries_per_ray(self):
-        return max((e // max(r, 1) for e, r in self.calls), default=0)
-
 
 score_meter = ScoreAllocationMeter()
 

@@ -63,13 +63,6 @@ def l1_loss(pred, gt):
     return diff.sum() / gt.valid_count
 
 
-def l2_loss(pred, gt):
-    """Mean squared depth error over valid ground-truth pixels."""
-    mask = _supervision_mask(pred.depth.shape, gt)
-    diff = pred.depth - Tensor(gt.depth)
-    return (diff * diff * mask).sum() / gt.valid_count
-
-
 def ce_loss(prob, gt, planes):
     """Soft-label cross entropy between predicted plane distributions and
     ground truth, averaged over valid pixels."""
@@ -97,14 +90,13 @@ def total_loss(cfg, parts):
 def frame_loss(result, gt, loss_cfg, planes):
     """All loss parts for one frame plus their configured total.
 
-    The depth losses see the frame's output depth, which is the refined one
-    when refinement is on; the cross entropy sees the pre-refinement
-    probability volume.
+    The L1 term sees the frame's output depth, which is the refined one when
+    refinement is on; the cross entropy sees the pre-refinement probability
+    volume.
     """
     depth = result.output
     parts = {
         "l1": l1_loss(depth, gt),
-        "l2": l2_loss(depth, gt),
         "ce": ce_loss(result.prob, gt, planes),
     }
     return total_loss(loss_cfg, parts), parts

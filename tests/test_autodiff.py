@@ -465,14 +465,56 @@ class TestBackwardSemantics:
         z = (ad.softmax_lastdim(h) * h).sum() + ad.tabs(x).sum()
         return x, y, z
 
-    def test_accumulation_is_order_independent_bitwise(self):
-        x1, y1, z1 = self._build_graph()
-        z1.backward()
-        for seed in range(5):
-            x2, y2, z2 = self._build_graph()
-            z2.backward(shuffle_rng=np.random.default_rng(seed))
-            np.testing.assert_array_equal(x1.grad, x2.grad)
-            np.testing.assert_array_equal(y1.grad, y2.grad)
+    @staticmethod
+    def _logged_op(log, inputs, value, local_grads):
+        """A recorded op whose closure logs its output's node id; input ``i``
+        receives ``local_grads[i](g)``."""
+
+        def backward(g):
+            log.append(out.nid)
+            return tuple(f(g) for f in local_grads)
+
+        out = ad._make(value, inputs, backward)
+        return out
+
+    def test_one_fixed_order(self):
+        log = []
+
+        def op(inputs, value, *local_grads):
+            return self._logged_op(log, inputs, value, local_grads)
+
+        x = ad.Tensor([2.0, -1.0, 0.5], requires_grad=True)
+        y = ad.Tensor([1.0, 0.0, 3.0], requires_grad=True)
+        c = ad.Tensor([0.5, 2.0, -1.0])
+        # s = x * x has three consumers; w and z hand one array to every input
+        s = op((x, x), x.data * x.data, lambda g: g * x.data, lambda g: g * x.data)
+        u = op((s, c), s.data * c.data, lambda g: g * c.data, lambda g: g * s.data)
+        v = op((s, y), s.data * y.data, lambda g: g * y.data, lambda g: g * s.data)
+        w = op((s, y), s.data + y.data, lambda g: g, lambda g: g)
+        z = op((u, v, w), u.data + v.data + w.data, lambda g: g, lambda g: g, lambda g: g)
+        total = op((z,), z.data.sum(), lambda g: g * np.ones(3))
+        recorded = [s, u, v, w, z, total]
+        consumers = {t.nid: [n.nid for n in recorded if t in n.op[0]] for t in recorded}
+
+        total.backward()
+        assert sorted(log) == sorted(t.nid for t in recorded)
+        for t in recorded:
+            assert all(log.index(t.nid) > log.index(n) for n in consumers[t.nid])
+        x_grad = 2 * x.data * (c.data + y.data + 1.0)
+        y_grad = x.data * x.data + 1.0
+        np.testing.assert_array_equal(x.grad, x_grad)
+        np.testing.assert_array_equal(y.grad, y_grad)
+        assert all(t.grad is None for t in recorded + [c])
+
+        total.backward()
+        assert sorted(log) == sorted(2 * [t.nid for t in recorded])
+        np.testing.assert_array_equal(x.grad, 2 * x_grad)
+        np.testing.assert_array_equal(y.grad, 2 * y_grad)
+
+    def test_untracked_root_does_nothing(self):
+        root = ad.Tensor(3.0)
+        root.backward()
+        assert root.grad is None
 
     def test_every_tracked_ancestor_receives_grad(self):
         x, y, z = self._build_graph()

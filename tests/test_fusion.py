@@ -278,7 +278,6 @@ class TestScoreMeter:
         fusion.score_meter.reset()
         fusion.fuse_volumes(cur, prev, store)
         assert fusion.score_meter.peak_entries == d * d * h * w
-        assert fusion.score_meter.peak_entries_per_ray() == d * d
         assert fusion.score_meter.total_entries == 3 * d * d * h * w
         assert fusion.score_meter.peak_bytes == d * d * h * w * 8
 

@@ -52,6 +52,7 @@ class TestConfig:
             pytest.param({"residual": True}, "'residual'", id="removed-residual"),
             pytest.param({"share_self_attention": False}, "'share_self_attention'", id="removed-share"),
             pytest.param({"loss": {"spn_l1": True}}, "'loss.spn_l1'", id="removed-spn_l1"),
+            pytest.param({"loss": {"use_l2": True}}, "'loss.use_l2'", id="removed-use_l2"),
         ],
     )
     def test_unknown_key_names_path(self, tmp_path, raw, path):
@@ -97,8 +98,8 @@ class TestConfig:
             config_from_dict({"downscale": 3})
 
     def test_loss_must_have_a_term(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"loss": {"use_l1": False, "use_ce": False, "use_l2": False}})
+        with pytest.raises(ConfigError, match="at least one loss term"):
+            config_from_dict({"loss": {"use_l1": False, "use_ce": False}})
 
     @pytest.mark.parametrize(
         "raw,path",
@@ -334,6 +335,22 @@ class TestCli:
         bad.write_text(json.dumps(raw))
         assert self._run("train", "--config", str(bad)) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            pytest.param("--repeats", "0", id="repeats-zero"),
+            pytest.param("--channels", "0", id="channels-zero"),
+            pytest.param("--channels", "-2", id="channels-negative"),
+            pytest.param("--heights", "-1", id="heights-negative"),
+            pytest.param("--depths", "", id="depths-empty"),
+        ],
+    )
+    def test_bench_rejects_bad_size(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bench.csv"
+        assert self._run("bench", flag, value, "--out", str(out)) == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         # checkpoint that does not match the configured architecture

@@ -73,11 +73,6 @@ class TestLosses:
         pred = DepthMap(2, 1, Tensor([[2.0, 4.0]]))
         assert tr.l1_loss(pred, gt).item() == 2.0
 
-    def test_l2_mean_square_oracle(self):
-        gt = sparse([[1.0, 1.0]], [[True, True]])
-        pred = DepthMap(2, 1, Tensor([[2.0, 4.0]]))
-        assert tr.l2_loss(pred, gt).item() == 5.0
-
     def test_losses_ignore_invalid_pixels(self):
         gt_a = sparse([[2.0, 7.7]], [[True, False]])
         gt_b = sparse([[2.0, 1.1]], [[True, False]])
@@ -122,13 +117,11 @@ class TestLosses:
         assert ce >= entropy - 1e-9
 
     def test_total_loss_sums_enabled_terms(self):
-        parts = {"l1": Tensor(0.25), "l2": Tensor(5.0), "ce": Tensor(0.5)}
-        cfg = LossConfig(use_l1=True, use_l2=False, use_ce=True)
+        parts = {"l1": Tensor(0.25), "ce": Tensor(0.5)}
+        cfg = LossConfig(use_l1=True, use_ce=True)
         assert tr.total_loss(cfg, parts).item() == 0.75
-        cfg = LossConfig(use_l1=True, use_l2=False, use_ce=False)
+        cfg = LossConfig(use_l1=True, use_ce=False)
         assert tr.total_loss(cfg, parts).item() == 0.25
-        cfg = LossConfig(use_l1=True, use_l2=True, use_ce=True)
-        assert tr.total_loss(cfg, parts).item() == 5.75
 
     def test_total_loss_missing_component(self):
         with pytest.raises(TrainingError):
