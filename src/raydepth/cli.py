@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 
+from . import synth
 from .bench import run_benchmark, write_benchmark_csv
 from .config import ConfigError, RunConfig, parse_config, validate_config
 from .errors import DimensionError, ParameterError
@@ -24,20 +25,18 @@ _VALIDATION_ERRORS = (ConfigError, ParameterError, DimensionError, FileNotFoundE
 
 def _load_config(args):
     cfg = parse_config(args.config) if args.config else validate_config(RunConfig())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "mode", None) is not None:
+    if args.mode is not None:
         cfg.mode = args.mode
-    if getattr(args, "no_refine", False):
+    if args.no_refine:
         cfg.refinement = False
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.paths.out_dir = args.out
     return validate_config(cfg)
 
 
 def _cmd_synth(args):
-    from . import synth
-
     spec, K = synth.load_scene(args.scene)
     if K is None:
         raise ParameterError(f"{args.scene} has no camera block")
@@ -119,7 +118,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_synth)
 
-    for name, fn in (("train", _cmd_train), ("infer", _cmd_infer)):
+    for name, fn in (("train", _cmd_train), ("infer", _cmd_infer), ("gradcheck", _cmd_gradcheck)):
         p = sub.add_parser(name)
         p.add_argument("--config")
         p.add_argument("--seed", type=int)
@@ -128,6 +127,9 @@ def build_parser():
         p.add_argument("--no-refine", action="store_true")
         if name == "infer":
             p.add_argument("--checkpoint")
+        if name == "gradcheck":
+            p.add_argument("--frames", type=int, default=2)
+            p.add_argument("--top", type=int, default=5)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("bench", help="attention memory/throughput comparison")
@@ -138,16 +140,6 @@ def build_parser():
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser("gradcheck", help="full-pipeline finite-difference check")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--mode", choices=["fused", "single_view"])
-    p.add_argument("--no-refine", action="store_true")
-    p.add_argument("--frames", type=int, default=2)
-    p.add_argument("--top", type=int, default=5)
-    p.set_defaults(fn=_cmd_gradcheck)
     return parser
 
 

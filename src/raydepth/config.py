@@ -1,7 +1,6 @@
-"""Run configuration: dataclasses plus strict JSON loading.
-
-Unknown keys, and values whose JSON type does not fit the field's type
-hint, are rejected with their full key path so typos fail loudly.
+"""Run configuration, and the one JSON loader and writer for config and
+scene files, both driven by the dataclass type hints.  Unknown or missing
+keys and values that do not fit their hint fail with the key path.
 An empty JSON object yields the defaults (16 planes over [1e-3, 10] m,
 downscale 4, fused mode, refinement on).
 """
@@ -11,11 +10,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, is_dataclass
-from types import NoneType, UnionType
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 
 
 @dataclass
@@ -31,12 +30,8 @@ class LossConfig:
     use_ce: bool = True
 
     def enabled_terms(self):
-        terms = []
-        if self.use_l1:
-            terms.append("l1")
-        if self.use_ce:
-            terms.append("ce")
-        return terms
+        """The enabled loss terms, named by their `use_<term>` fields."""
+        return [f.name.removeprefix("use_") for f in fields(self) if getattr(self, f.name)]
 
 
 @dataclass
@@ -76,45 +71,89 @@ class RunConfig:
     eval_range: tuple[float, ...] | None = None
 
 
-def _accepts(hint, value):
-    """Whether a JSON value fits one type-hint alternative.  An int fits a
-    float field; a bool fits neither an int nor a float field."""
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
+def _fits(hint, value):
+    """Whether a JSON value fits a scalar or tuple hint; an int fits float, a bool neither."""
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
     if get_origin(hint) is tuple:
-        return isinstance(value, list) and all(_accepts(get_args(hint)[0], v) for v in value)
-    return isinstance(value, hint)
+        args = get_args(hint)
+        if args[-1] is Ellipsis and isinstance(value, list):
+            args = args[:1] * len(value)
+        return isinstance(value, list) and len(value) == len(args) and all(map(_fits, args, value))
+    return get_origin(hint) is None and isinstance(value, hint)
 
 
-def _type_name(hint):
-    if hint is NoneType:
-        return "null"
-    if get_origin(hint) is tuple:
-        return f"a list of {get_args(hint)[0].__name__}"
-    return hint.__name__
+def _kinds(hint):
+    """A union of two or more dataclasses by `kind`, the lower-cased class name."""
+    classes = [a for a in get_args(hint) if is_dataclass(a)] if get_origin(hint) is UnionType else []
+    return {c.__name__.lower(): c for c in classes} if len(classes) > 1 else {}
 
 
-def _fill(cls, raw, prefix):
+def _load_fields(cls, raw, path):
+    prefix = f"{path}." if path else ""
     hints = get_type_hints(cls)
-    kwargs = {}
-    for key, value in raw.items():
-        path = f"{prefix}{key}"
+    for key in raw:
         if key not in hints:
-            raise ConfigError(f"unknown config key {path!r}")
-        hint = hints[key]
-        if is_dataclass(hint):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path!r} must be an object")
-            kwargs[key] = _fill(hint, value, path + ".")
-            continue
-        allowed = get_args(hint) if get_origin(hint) is UnionType else (hint,)
-        if not any(_accepts(h, value) for h in allowed):
-            names = " or ".join(_type_name(h) for h in allowed)
-            raise ConfigError(f"config key {path!r} must be {names}, got {json.dumps(value)}")
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return cls(**kwargs)
+            raise ConfigError(f"unknown key {prefix + key!r}")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {prefix + f.name!r}")
+    return {key: load_value(hints[key], value, prefix + key) for key, value in raw.items()}
+
+
+def load_value(hint, value, path=""):
+    """A parsed JSON value as the type `hint`, or a `ConfigError` naming its
+    key path.  Objects become dataclasses (unknown or missing keys and the
+    class's own checks fail), and a tagged union's `kind` picks the class."""
+    where = f"key {path!r}" if path else "the root"
+    alternatives = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    kinds = _kinds(hint)
+    if kinds and isinstance(value, dict):
+        value = dict(value)
+        kind = value.pop("kind", None)
+        if kind not in kinds:
+            raise ConfigError(f"key {path + '.kind'!r} must be one of {sorted(kinds)}, got {json.dumps(kind)}")
+        alternatives = (kinds[kind],)
+    for alt in alternatives:
+        if is_dataclass(alt) and isinstance(value, dict):
+            kwargs = _load_fields(alt, value, path)
+            try:
+                return alt(**kwargs)
+            except ParameterError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+        if get_origin(alt) is list and isinstance(value, list):
+            return [load_value(get_args(alt)[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+        if _fits(alt, value):
+            return tuple(value) if isinstance(value, list) else value
+    expected = hint.__name__ if isinstance(hint, type) else hint
+    raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
+def dump_value(value, hint=None):
+    """The inverse of `load_value`: dataclasses as objects (tagged with
+    their `kind` in a tagged union), tuples and arrays as lists."""
+    if is_dataclass(value):
+        hints = get_type_hints(type(value))
+        raw = {f.name: dump_value(getattr(value, f.name), hints[f.name]) for f in fields(value)}
+        tags = {cls: kind for kind, cls in _kinds(hint).items()}
+        return {"kind": tags[type(value)], **raw} if tags else raw
+    if isinstance(value, (list, tuple)):
+        return [dump_value(v, get_args(hint)[0] if get_origin(hint) is list else None) for v in value]
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
+def read_json(path):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def write_json(path, raw):
+    with open(path, "w") as f:
+        json.dump(raw, f, indent=2)
+        f.write("\n")
 
 
 def validate_config(cfg):
@@ -161,21 +200,12 @@ def validate_config(cfg):
 
 
 def config_from_dict(raw):
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return validate_config(_fill(RunConfig, raw, ""))
+    return validate_config(load_value(RunConfig, raw))
 
 
 def parse_config(path):
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_json(path))
 
 
 def save_config(path, cfg):
-    with open(path, "w") as f:
-        json.dump(asdict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, dump_value(cfg))

@@ -30,7 +30,7 @@ class TrainingError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A run configuration file is malformed or violates an invariant."""
+    """A config or scene file is malformed or violates an invariant."""
 
 
 class CheckpointError(RuntimeError):

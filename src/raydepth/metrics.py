@@ -27,13 +27,12 @@ class Metrics:
 def compute_metrics(pred, gt, low, high):
     """Errors of a predicted depth map against ground truth, restricted to
     valid pixels with ground truth inside [low, high] meters."""
-    pred_depth = pred.depth.data if hasattr(pred, "depth") and hasattr(pred.depth, "data") else np.asarray(pred)
     mask = gt.valid & (gt.depth >= low) & (gt.depth <= high)
     if not mask.any():
         raise EmptyEvaluationError(
             f"no valid ground-truth pixels in [{low}, {high}] to evaluate"
         )
-    p = pred_depth[mask]
+    p = pred.depth.data[mask]
     g = gt.depth[mask]
     err = p - g
     inv_err = 1.0 / np.maximum(p, _INV_CLAMP) - 1.0 / g

@@ -4,14 +4,14 @@ exact geometric value.  Background pixels are invalid (depth 0)."""
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import fileio
+from .config import dump_value, load_value, read_json, write_json
 from .cost_volume import RGBImage, SparseDepthMap
 from .errors import ParameterError
 from .geometry import CameraIntrinsics, Pose, save_cameras, load_cameras
@@ -22,13 +22,16 @@ _LIGHT_DIR = _LIGHT / np.linalg.norm(_LIGHT)
 _AMBIENT = 0.3
 _CHECKER_DARK = 0.55
 
+# A 3-vector as scene files give it; each class stores it as a float64 array.
+Vec3 = tuple[float, float, float]
+
 
 @dataclass(eq=False)
 class Box:
-    center: np.ndarray
-    half_extents: np.ndarray
+    center: Vec3
+    half_extents: Vec3
     checker_scale: float = 0.4
-    color: np.ndarray = field(default_factory=lambda: np.array([0.8, 0.8, 0.8]))
+    color: Vec3 = (0.8, 0.8, 0.8)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
@@ -43,10 +46,10 @@ class Box:
 
 @dataclass(eq=False)
 class Sphere:
-    center: np.ndarray
+    center: Vec3
     radius: float
     checker_scale: float = 0.4
-    color: np.ndarray = field(default_factory=lambda: np.array([0.8, 0.8, 0.8]))
+    color: Vec3 = (0.8, 0.8, 0.8)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
@@ -73,10 +76,10 @@ class Trajectory:
 
 @dataclass(eq=False)
 class SceneSpec:
-    seed: int
-    primitives: list
-    room_bounds: tuple
+    primitives: list[Box | Sphere]
+    room_bounds: tuple[Vec3, Vec3]
     trajectory: Trajectory
+    seed: int = 0
 
     def __post_init__(self):
         lo = np.asarray(self.room_bounds[0], dtype=np.float64)
@@ -222,52 +225,31 @@ def sample_sparse(dense, count, seed):
 # -- scene files and sequence directories ----------------------------------------
 
 
+@dataclass(eq=False)
+class SceneFile(SceneSpec):
+    """A scene file: the scene's keys plus an optional camera block."""
+    camera: CameraIntrinsics | None = None
+
+
 def scene_from_dict(raw):
-    prims = []
-    for p in raw["primitives"]:
-        kind = p["kind"]
-        common = dict(checker_scale=p.get("checker_scale", 0.4))
-        if "color" in p:
-            common["color"] = np.asarray(p["color"])
-        if kind == "box":
-            prims.append(Box(p["center"], p["half_extents"], **common))
-        elif kind == "sphere":
-            prims.append(Sphere(p["center"], p["radius"], **common))
-        else:
-            raise ParameterError(f"unknown primitive kind {kind!r}")
-    traj = Trajectory(**raw["trajectory"])
-    spec = SceneSpec(raw.get("seed", 0), prims, tuple(raw["room_bounds"]), traj)
-    cam = raw.get("camera")
-    K = CameraIntrinsics(**cam) if cam else None
-    return spec, K
+    """A scene file's JSON object as (SceneSpec, CameraIntrinsics or None)."""
+    scene = load_value(SceneFile, raw)
+    return SceneSpec(**{f.name: getattr(scene, f.name) for f in fields(SceneSpec)}), scene.camera
 
 
 def load_scene(path):
-    with open(path) as f:
-        return scene_from_dict(json.load(f))
-
-
-def _plain(value):
-    """Nested dicts, sequences and arrays as JSON-ready dicts and lists."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    return scene_from_dict(read_json(path))
 
 
 def scene_to_dict(spec, K=None):
-    raw = asdict(spec)
-    raw["primitives"] = [{"kind": type(p).__name__.lower(), **asdict(p)} for p in spec.primitives]
+    raw = dump_value(spec)
     if K is not None:
-        raw["camera"] = asdict(K)
-    return _plain(raw)
+        raw["camera"] = dump_value(K)
+    return raw
 
 
 def save_scene(path, spec, K=None):
-    with open(path, "w") as f:
-        json.dump(scene_to_dict(spec, K), f, indent=2)
-        f.write("\n")
+    write_json(path, scene_to_dict(spec, K))
 
 
 _PALETTE = [

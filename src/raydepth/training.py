@@ -11,8 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
-from .config import LossConfig, OptimizerConfig  # noqa: F401  (module surface)
-from .errors import CheckpointError, EmptySupervisionError, TrainingError
+from .errors import CheckpointError, DimensionError, EmptySupervisionError, TrainingError
 from .pipeline import forward_frame, planes_for
 
 CE_EPS = 1e-12
@@ -48,8 +47,6 @@ def soft_labels(values, planes):
 
 def _supervision_mask(pred_shape, gt):
     if gt.depth.shape != pred_shape:
-        from .errors import DimensionError
-
         raise DimensionError(f"prediction {pred_shape} vs ground truth {gt.depth.shape}")
     if gt.valid_count == 0:
         raise EmptySupervisionError("no valid ground-truth pixels to supervise")

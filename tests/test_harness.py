@@ -352,6 +352,37 @@ class TestCli:
         assert flag[2:] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit,path",
+        [
+            pytest.param(lambda r: r["primitives"][1].update(colour=[1, 0, 0]),
+                         "primitives[1].colour", id="ignored-key"),
+            pytest.param(lambda r: r["trajectory"].update(frame_count="2"),
+                         "trajectory.frame_count", id="mistyped-value"),
+            pytest.param(lambda r: r["primitives"][0].pop("kind") and None,
+                         "primitives[0].kind", id="no-kind"),
+        ],
+    )
+    def test_synth_rejects_bad_scene(self, tmp_path, capsys, edit, path):
+        spec, K = synth.default_scene(0, width=16, height=16, frame_count=2, step=0.05)
+        raw = synth.scene_to_dict(spec, K)
+        edit(raw)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(raw))
+        seq = tmp_path / "seq"
+        assert self._run("synth", "--scene", str(scene), "--out", str(seq)) == 2
+        assert f"'{path}'" in capsys.readouterr().err
+        assert not seq.exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer", "gradcheck"])
+    def test_shared_flags(self, command):
+        from raydepth.cli import build_parser
+
+        args = build_parser().parse_args(
+            [command, "--config", "c.json", "--seed", "3", "--out", "o", "--mode", "single_view", "--no-refine"]
+        )
+        assert (args.config, args.seed, args.out, args.mode, args.no_refine) == ("c.json", 3, "o", "single_view", True)
+
     def test_runtime_error_exit_code(self, tmp_path):
         # checkpoint that does not match the configured architecture
         cfg = tiny_run_config()

@@ -1,11 +1,14 @@
 """Renderer checks against closed-form geometry: plane/sphere depths,
 reprojection consistency between frames, and sparse sampling."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from raydepth import synth
-from raydepth.errors import ParameterError
+from raydepth.errors import ConfigError, ParameterError
 from raydepth.geometry import CameraIntrinsics, backproject, project, relative_pose
 
 K = CameraIntrinsics(fx=40.0, fy=40.0, cx=16.0, cy=12.0, width=32, height=24)
@@ -232,3 +235,77 @@ class TestSceneFilesAndSequences:
             for t in range(2):
                 _, dense, _ = synth.render_frame(spec, t, kc)
                 assert dense.valid.mean() >= 0.5
+
+
+def _scene_dict():
+    """A valid 16x16 scene file: a wall, three boxes, then two spheres."""
+    spec, kc = synth.default_scene(0, width=16, height=16, frame_count=2, step=0.05)
+    return synth.scene_to_dict(spec, kc)
+
+
+def _edited(edit):
+    raw = _scene_dict()
+    return edit(raw) or raw
+
+
+class TestSceneLoader:
+    @pytest.mark.parametrize(
+        "edit,path",
+        [
+            pytest.param(lambda r: r["primitives"][0].update(checker_scal=0.3),
+                         "unknown key 'primitives[0].checker_scal'", id="primitive-typo"),
+            pytest.param(lambda r: r["primitives"][1].update(colour=[1, 0, 0]),
+                         "unknown key 'primitives[1].colour'", id="primitive-colour"),
+            pytest.param(lambda r: r.update(trajectroy=r["trajectory"]),
+                         "unknown key 'trajectroy'", id="top-level-typo"),
+            pytest.param(lambda r: r["primitives"][4].update(radius=True),
+                         "key 'primitives[4].radius'", id="radius-bool"),
+            pytest.param(lambda r: r.update(seed=1.5), "key 'seed'", id="seed-float"),
+            pytest.param(lambda r: r["trajectory"].update(frame_count="2"),
+                         "key 'trajectory.frame_count'", id="frame-count-string"),
+            pytest.param(lambda r: r["camera"].update(fx="57"), "key 'camera.fx'", id="fx-string"),
+            pytest.param(lambda r: r["trajectory"].update(speed=1.0),
+                         "unknown key 'trajectory.speed'", id="trajectory-unknown-key"),
+            pytest.param(lambda r: r["camera"].update(skew=0.0),
+                         "unknown key 'camera.skew'", id="camera-unknown-key"),
+            pytest.param(lambda r: r.pop("primitives") and None,
+                         "missing key 'primitives'", id="no-primitives"),
+            pytest.param(lambda r: r["primitives"][0].pop("kind") and None,
+                         "key 'primitives[0].kind'", id="no-kind"),
+            pytest.param(lambda r: r["primitives"][0].update(center="abc"),
+                         "key 'primitives[0].center'", id="center-string"),
+            pytest.param(lambda r: r["primitives"][0].update(center=[0.0, 0.0]),
+                         "key 'primitives[0].center'", id="center-two-entries"),
+            pytest.param(lambda r: [r], "the root must be", id="list-root"),
+        ],
+    )
+    def test_fault_names_key_path(self, tmp_path, edit, path):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(_edited(edit)))
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            synth.load_scene(scene)
+
+    def test_malformed_json(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        scene.write_text("{not json")
+        with pytest.raises(ConfigError, match="malformed JSON"):
+            synth.load_scene(scene)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("trajectory", ["lateral", "dolly", "orbit"])
+    @pytest.mark.parametrize("camera", [True, False], ids=["camera", "no-camera"])
+    def test_roundtrip(self, seed, trajectory, camera):
+        spec, kc = synth.default_scene(seed, trajectory=trajectory, step=0.03)
+        raw = synth.scene_to_dict(spec, kc if camera else None)
+        spec2, k2 = synth.scene_from_dict(json.loads(json.dumps(raw)))
+        assert synth.scene_to_dict(spec2, k2) == raw
+        assert (k2 is None) == (not camera)
+
+    def test_roundtrip_renders_bitwise(self):
+        spec, kc = synth.default_scene(4, trajectory="orbit", step=0.03)
+        spec2, k2 = synth.scene_from_dict(json.loads(json.dumps(synth.scene_to_dict(spec, kc))))
+        img_a, dense_a, pose_a = synth.render_frame(spec, 0, kc)
+        img_b, dense_b, pose_b = synth.render_frame(spec2, 0, k2)
+        np.testing.assert_array_equal(img_a.channels, img_b.channels)
+        np.testing.assert_array_equal(dense_a.depth, dense_b.depth)
+        np.testing.assert_array_equal(pose_a.rotation, pose_b.rotation)
