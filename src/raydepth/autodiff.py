@@ -151,9 +151,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, tracked={self.requires_grad})"
 
@@ -220,14 +217,6 @@ def div(a, b):
     return _make(a.data / b.data, (a, b), backward)
 
 
-def texp(x):
-    x = as_tensor(x)
-    out_data = np.exp(x.data)
-    def backward(g):
-        return (g * out_data,)
-    return _make(out_data, (x,), backward)
-
-
 def tlog(x):
     x = as_tensor(x)
     def backward(g):
@@ -270,20 +259,6 @@ def tsum(x, axis=None, keepdims=False):
         gk = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gk, x.data.shape).copy(),)
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
-
-
-def tmean(x, axis=None, keepdims=False):
-    x = as_tensor(x)
-    if axis is None:
-        n = x.data.size
-    else:
-        n = np.prod([x.data.shape[a] for a in np.atleast_1d(axis)])
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, x.data.shape).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gk / n, x.data.shape).copy(),)
-    return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 def tmax(x, axis, keepdims=False):

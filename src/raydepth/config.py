@@ -47,7 +47,6 @@ class PathsConfig:
     sequence_dir: str | None = None
     out_dir: str | None = None
     checkpoint: str | None = None
-    scene: str | None = None
 
 
 @dataclass
@@ -72,15 +71,24 @@ class RunConfig:
 
 
 def _fits(hint, value):
-    """Whether a JSON value fits a scalar or tuple hint; an int fits float, a bool neither."""
+    """Whether a JSON value fits a scalar or tuple hint; an int fits float, a
+    bool neither, and JSON's NaN and Infinity fit no number."""
     if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+        if isinstance(value, float):
+            return hint is float and math.isfinite(value)
+        return isinstance(value, int) and not isinstance(value, bool)
     if get_origin(hint) is tuple:
         args = get_args(hint)
         if args[-1] is Ellipsis and isinstance(value, list):
             args = args[:1] * len(value)
         return isinstance(value, list) and len(value) == len(args) and all(map(_fits, args, value))
     return get_origin(hint) is None and isinstance(value, hint)
+
+
+def _echo(value, limit=80):
+    """A JSON value as text for a message, cut to `limit` characters."""
+    text = json.dumps(value)
+    return text if len(text) <= limit else text[:limit] + "…"
 
 
 def _kinds(hint):
@@ -112,7 +120,7 @@ def load_value(hint, value, path=""):
         value = dict(value)
         kind = value.pop("kind", None)
         if kind not in kinds:
-            raise ConfigError(f"key {path + '.kind'!r} must be one of {sorted(kinds)}, got {json.dumps(kind)}")
+            raise ConfigError(f"key {path + '.kind'!r} must be one of {sorted(kinds)}, got {_echo(kind)}")
         alternatives = (kinds[kind],)
     for alt in alternatives:
         if is_dataclass(alt) and isinstance(value, dict):
@@ -126,7 +134,7 @@ def load_value(hint, value, path=""):
         if _fits(alt, value):
             return tuple(value) if isinstance(value, list) else value
     expected = hint.__name__ if isinstance(hint, type) else hint
-    raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
+    raise ConfigError(f"{where} must be {expected}, got {_echo(value)}")
 
 
 def dump_value(value, hint=None):
@@ -192,7 +200,7 @@ def validate_config(cfg):
         raise ConfigError(f"optimizer.learning_rate must be finite and positive, got {opt.learning_rate}")
     if not 0 <= opt.weight_decay < math.inf:
         raise ConfigError(f"optimizer.weight_decay must be finite and >= 0, got {opt.weight_decay}")
-    for name in ("sequence_dir", "checkpoint", "scene"):
+    for name in ("sequence_dir", "checkpoint"):
         path = getattr(cfg.paths, name)
         if path is not None and not os.path.exists(path):
             raise ConfigError(f"paths.{name} does not exist: {path}")

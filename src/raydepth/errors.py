@@ -13,10 +13,6 @@ class NumericError(ValueError):
     """A computation produced or received non-finite values."""
 
 
-class BehindCameraError(ValueError):
-    """A point with non-positive camera-space depth cannot be projected."""
-
-
 class EmptySupervisionError(ValueError):
     """A loss was requested but no valid ground-truth pixels exist."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BehindCameraError, DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,8 +25,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ParameterError(f"focal lengths must be positive, got {self.fx}, {self.fy}")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ParameterError(f"focal lengths must be finite and positive, got {self.fx}, {self.fy}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ParameterError(
                 f"principal point ({self.cx}, {self.cy}) outside {self.width}x{self.height}"
@@ -65,13 +65,6 @@ class Pose:
         """Transform (..., 3) points from camera to world coordinates."""
         return np.asarray(points) @ self.rotation.T + self.translation
 
-    def inverse(self):
-        return Pose(self.rotation.T, -self.rotation.T @ self.translation)
-
-
-def identity_pose():
-    return Pose(np.eye(3), np.zeros(3))
-
 
 @dataclass(frozen=True, eq=False)
 class DepthPlaneSet:
@@ -98,20 +91,22 @@ def make_planes(count, d_min, d_max):
     return DepthPlaneSet(count, float(d_min), float(d_max), depths)
 
 
-def backproject(pixel, depth, K):
-    """Pixel (u, v) at camera depth -> camera-space 3D point."""
-    if depth <= 0:
-        raise ParameterError(f"backprojection needs positive depth, got {depth}")
-    u, v = pixel
-    return np.array([(u - K.cx) * depth / K.fx, (v - K.cy) * depth / K.fy, depth])
+def backproject(u, v, depth, K):
+    """Pixel coordinates (u, v) at camera depth -> camera-space points (..., 3)."""
+    u, v, depth = np.broadcast_arrays(u, v, depth)
+    if np.any(depth <= 0):
+        raise ParameterError("backprojection needs positive depth")
+    return np.stack([(u - K.cx) * depth / K.fx, (v - K.cy) * depth / K.fy, depth], axis=-1)
 
 
-def project(point, K):
-    """Camera-space 3D point -> (u, v, depth)."""
-    x, y, z = point
-    if z <= 0:
-        raise BehindCameraError(f"cannot project point with depth {z}")
-    return (K.fx * x / z + K.cx, K.fy * y / z + K.cy, z)
+def project(points, K):
+    """Camera-space points (..., 3) -> pixel coordinates (u, v) and whether
+    each point lies in front of the camera.  Points at or behind the camera
+    get finite stand-in coordinates (divided by 1, not their depth)."""
+    x, y, z = np.moveaxis(np.asarray(points), -1, 0)
+    in_front = z > 0
+    zs = np.where(in_front, z, 1.0)
+    return K.fx * x / zs + K.cx, K.fy * y / zs + K.cy, in_front
 
 
 def relative_pose(current, previous):
@@ -140,16 +135,9 @@ def warp_coordinates(shape, cur_to_prev, K, planes):
     ii, hh, ww = np.meshgrid(
         np.arange(d), np.arange(h), np.arange(w), indexing="ij"
     )
-    depth = planes.depths[ii]
-    x = (ww - K.cx) * depth / K.fx
-    y = (hh - K.cy) * depth / K.fy
-    pts = np.stack([x, y, depth], axis=-1).reshape(-1, 3)
-    prev = cur_to_prev.apply(pts)
+    prev = cur_to_prev.apply(backproject(ww, hh, planes.depths[ii], K).reshape(-1, 3))
+    up, vp, front = project(prev, K)
     zp = prev[:, 2]
-    front = zp > 0
-    zs = np.where(front, zp, 1.0)
-    up = K.fx * prev[:, 0] / zs + K.cx
-    vp = K.fy * prev[:, 1] / zs + K.cy
     fp = (zp - planes.d_min) / planes.spacing
     up, vp, fp = _snap_integers(up), _snap_integers(vp), _snap_integers(fp)
     valid = (
@@ -207,33 +195,31 @@ def align_volume(v, cur_to_prev, K, planes):
     return CostVolume(planes=planes, features=out, validity=valid)
 
 
-# -- camera text format -------------------------------------------------------
-# One camera per line: 9 rotation entries (row-major), 3 translation entries,
-# then fx fy cx cy, whitespace-separated.
+# -- pose text format ---------------------------------------------------------
+# One world-from-camera pose per line: 9 rotation entries (row-major), then
+# 3 translation entries, whitespace-separated.
 
 
-def save_cameras(path, cameras):
-    lines = []
-    for pose, K in cameras:
-        vals = list(pose.rotation.reshape(-1)) + list(pose.translation)
-        vals += [K.fx, K.fy, K.cx, K.cy]
-        lines.append(" ".join(f"{v:.17g}" for v in vals))
+def save_cameras(path, poses):
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        for pose in poses:
+            vals = [*pose.rotation.reshape(-1), *pose.translation]
+            f.write(" ".join(f"{v:.17g}" for v in vals) + "\n")
 
 
-def load_cameras(path, width, height):
-    cameras = []
+def load_cameras(path):
+    poses = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            vals = [float(tok) for tok in line.split()]
-            if len(vals) != 16:
+            try:
+                vals = [float(tok) for tok in line.split()]
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{line_no}: {exc}") from exc
+            if len(vals) != 12:
                 raise ParameterError(
-                    f"{path}:{line_no}: expected 16 values per camera line, got {len(vals)}"
+                    f"{path}:{line_no}: expected 12 values per pose line, got {len(vals)}"
                 )
-            pose = Pose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:12]))
-            K = CameraIntrinsics(vals[12], vals[13], vals[14], vals[15], width, height)
-            cameras.append((pose, K))
-    return cameras
+            poses.append(Pose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:])))
+    return poses

@@ -14,7 +14,7 @@ from . import fileio
 from .config import dump_value, load_value, read_json, write_json
 from .cost_volume import RGBImage, SparseDepthMap
 from .errors import ParameterError
-from .geometry import CameraIntrinsics, Pose, save_cameras, load_cameras
+from .geometry import CameraIntrinsics, Pose, backproject, load_cameras, save_cameras
 
 _EPS = 1e-9
 _LIGHT = np.array([-0.35, -0.45, -0.82])
@@ -85,6 +85,8 @@ class SceneSpec:
         lo = np.asarray(self.room_bounds[0], dtype=np.float64)
         hi = np.asarray(self.room_bounds[1], dtype=np.float64)
         self.room_bounds = (lo, hi)
+        if not self.primitives:
+            raise ParameterError("'primitives' must not be empty")
         for prim in self.primitives:
             plo, phi = prim.bounds()
             if np.any(plo < lo - 1e-9) or np.any(phi > hi + 1e-9):
@@ -172,15 +174,7 @@ def render_frame(spec, frame_index, K):
     camera-space depth; color is checker texture times Lambert shading."""
     pose = camera_pose(spec, frame_index)
     u, v = np.meshgrid(np.arange(K.width), np.arange(K.height))
-    dirs_cam = np.stack(
-        [
-            (u.reshape(-1) - K.cx) / K.fx,
-            (v.reshape(-1) - K.cy) / K.fy,
-            np.ones(K.width * K.height),
-        ],
-        axis=1,
-    )
-    dirs = dirs_cam @ pose.rotation.T
+    dirs = backproject(u.reshape(-1), v.reshape(-1), 1.0, K) @ pose.rotation.T
     origin = pose.translation
     n = dirs.shape[0]
     best_t = np.full(n, np.inf)
@@ -290,9 +284,10 @@ def default_scene(seed, width=64, height=48, frame_count=8, trajectory="lateral"
 
 def generate_sequence(spec, K, out_dir, min_coverage=0.5):
     """Render the whole trajectory into a directory: frame_%04d.{ppm,pfm},
-    poses.txt (camera-line format), intrinsics.txt."""
+    poses.txt (one pose per line) and intrinsics.txt (`fx fy cx cy width
+    height`, the one record of K)."""
     os.makedirs(out_dir, exist_ok=True)
-    cams = []
+    poses = []
     for t in range(spec.trajectory.frame_count):
         image, dense, pose = render_frame(spec, t, K)
         coverage = dense.valid.mean()
@@ -302,8 +297,8 @@ def generate_sequence(spec, K, out_dir, min_coverage=0.5):
             )
         fileio.write_ppm(os.path.join(out_dir, f"frame_{t:04d}.ppm"), image)
         fileio.write_pfm(os.path.join(out_dir, f"frame_{t:04d}.pfm"), dense.depth)
-        cams.append((pose, K))
-    save_cameras(os.path.join(out_dir, "poses.txt"), cams)
+        poses.append(pose)
+    save_cameras(os.path.join(out_dir, "poses.txt"), poses)
     with open(os.path.join(out_dir, "intrinsics.txt"), "w") as f:
         f.write(f"{K.fx:.17g} {K.fy:.17g} {K.cx:.17g} {K.cy:.17g} {K.width} {K.height}\n")
     return spec.trajectory.frame_count
@@ -312,13 +307,18 @@ def generate_sequence(spec, K, out_dir, min_coverage=0.5):
 def load_sequence(seq_dir):
     """Read a sequence directory back as (frames, K); each frame is
     (RGBImage, dense ground-truth SparseDepthMap, Pose)."""
-    with open(os.path.join(seq_dir, "intrinsics.txt")) as f:
+    path = os.path.join(seq_dir, "intrinsics.txt")
+    with open(path) as f:
         vals = f.read().split()
-    width, height = int(vals[4]), int(vals[5])
-    cams = load_cameras(os.path.join(seq_dir, "poses.txt"), width, height)
+    if len(vals) != 6:
+        raise ParameterError(f"{path}: expected 6 values (fx fy cx cy width height), got {len(vals)}")
+    try:
+        K = CameraIntrinsics(*map(float, vals[:4]), *map(int, vals[4:]))
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
     frames = []
-    for t, (pose, K) in enumerate(cams):
+    for t, pose in enumerate(load_cameras(os.path.join(seq_dir, "poses.txt"))):
         image = fileio.read_ppm(os.path.join(seq_dir, f"frame_{t:04d}.ppm"))
         dense = fileio.read_depth_map(os.path.join(seq_dir, f"frame_{t:04d}.pfm"))
         frames.append((image, dense, pose))
-    return frames, cams[0][1]
+    return frames, K

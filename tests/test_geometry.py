@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from raydepth import autodiff as ad
 from raydepth import geometry as geo
 from raydepth.cost_volume import CostVolume
-from raydepth.errors import BehindCameraError, DimensionError, NumericError, ParameterError
+from raydepth.errors import DimensionError, NumericError, ParameterError
 
 K = geo.CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, width=100, height=100)
+IDENTITY = geo.Pose(np.eye(3), np.zeros(3))
 
 
 def small_pose(rng, max_angle=0.05, max_shift=0.05):
@@ -89,35 +90,74 @@ class TestPlanes:
 
 class TestProjection:
     def test_principal_point_is_optical_axis(self):
-        np.testing.assert_array_equal(geo.backproject((50.0, 50.0), 3.0, K), [0, 0, 3.0])
+        np.testing.assert_array_equal(geo.backproject(50.0, 50.0, 3.0, K), [0, 0, 3.0])
 
     def test_unit_offset_at_unit_depth(self):
-        np.testing.assert_allclose(geo.backproject((150.0, 50.0), 1.0, K), [1, 0, 1])
+        np.testing.assert_allclose(geo.backproject(150.0, 50.0, 1.0, K), [1, 0, 1])
 
     def test_formula_point(self):
-        np.testing.assert_allclose(geo.backproject((250.0, -50.0), 2.0, K), [4, -2, 2])
-        np.testing.assert_allclose(geo.project([4.0, -2.0, 2.0], K), (250.0, -50.0, 2.0))
+        np.testing.assert_allclose(geo.backproject(250.0, -50.0, 2.0, K), [4, -2, 2])
+        u, v, front = geo.project([4.0, -2.0, 2.0], K)
+        np.testing.assert_allclose((u, v), (250.0, -50.0))
+        assert front
+
+    def test_formula_point_asymmetric_intrinsics(self):
+        k2 = geo.CameraIntrinsics(fx=100.0, fy=80.0, cx=40.0, cy=30.0, width=100, height=60)
+        np.testing.assert_allclose(geo.backproject(140.0, 110.0, 2.0, k2), [2, 2, 2])
+        u, v, front = geo.project([2.0, 2.0, 2.0], k2)
+        np.testing.assert_allclose((u, v), (140.0, 110.0))
+        assert front
 
     def test_axis_point_projects_to_principal(self):
-        assert geo.project([0.0, 0.0, 5.0], K) == (50.0, 50.0, 5.0)
+        u, v, front = geo.project([0.0, 0.0, 5.0], K)
+        assert (u, v, front) == (50.0, 50.0, True)
+
+    def test_broadcasts_over_leading_axes(self):
+        u, v = np.meshgrid(np.arange(3.0), np.arange(2.0))
+        depth = np.array([[1.0], [2.0]])
+        pts = geo.backproject(u, v, depth, K)
+        assert pts.shape == (2, 3, 3)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(
+                    pts[i, j], geo.backproject(u[i, j], v[i, j], depth[i, 0], K)
+                )
+        uu, vv, front = geo.project(pts, K)
+        assert uu.shape == vv.shape == front.shape == (2, 3)
+        assert front.all()
 
     def test_nonpositive_depth_rejected(self):
         with pytest.raises(ParameterError):
-            geo.backproject((1.0, 1.0), 0.0, K)
-        with pytest.raises(BehindCameraError):
-            geo.project([0.0, 0.0, -1.0], K)
+            geo.backproject(1.0, 1.0, 0.0, K)
+        with pytest.raises(ParameterError):
+            geo.backproject(np.ones(3), np.ones(3), np.array([1.0, -1.0, 2.0]), K)
+
+    def test_behind_camera_flagged_with_finite_coordinates(self):
+        pts = np.array([[1.0, 2.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 4.0]])
+        u, v, front = geo.project(pts, K)
+        np.testing.assert_array_equal(front, [False, False, True])
+        assert np.isfinite(u).all() and np.isfinite(v).all()
 
     @given(
-        st.floats(min_value=0.0, max_value=99.0),
-        st.floats(min_value=0.0, max_value=99.0),
-        st.floats(min_value=0.01, max_value=10.0),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=99.0),
+                st.floats(min_value=0.0, max_value=99.0),
+                st.floats(min_value=0.01, max_value=10.0),
+            ),
+            min_size=1,
+            max_size=8,
+        )
     )
     @settings(max_examples=50, deadline=None)
-    def test_roundtrip_identity(self, u, v, d):
-        uu, vv, dd = geo.project(geo.backproject((u, v), d, K), K)
-        assert abs(uu - u) < 1e-12 * max(1, abs(u))
-        assert abs(vv - v) < 1e-12 * max(1, abs(v))
-        assert dd == d
+    def test_roundtrip_identity(self, pixels):
+        u, v, d = np.array(pixels).T
+        pts = geo.backproject(u, v, d, K)
+        uu, vv, front = geo.project(pts, K)
+        assert front.all()
+        assert np.all(np.abs(uu - u) < 1e-12 * np.maximum(1, np.abs(u)))
+        assert np.all(np.abs(vv - v) < 1e-12 * np.maximum(1, np.abs(v)))
+        np.testing.assert_array_equal(pts[:, 2], d)
 
 
 class TestRelativePose:
@@ -130,7 +170,7 @@ class TestRelativePose:
 
     def test_translation_only(self):
         prev = geo.Pose(np.eye(3), [0.0, 0.0, 1.0])
-        cur = geo.identity_pose()
+        cur = IDENTITY
         rel = geo.relative_pose(cur, prev)
         np.testing.assert_allclose(rel.translation, [0, 0, 1])
         # compose-and-verify: previous camera center expressed in current frame
@@ -167,7 +207,7 @@ class TestAlignVolume:
 
     def test_identity_pose_is_exact_identity(self):
         v = self._volume()
-        out = geo.align_volume(v, geo.identity_pose(), self.kvol, self.planes)
+        out = geo.align_volume(v, IDENTITY, self.kvol, self.planes)
         np.testing.assert_allclose(out.features.data, v.features.data, atol=1e-12)
         assert out.validity.all()
 
@@ -192,12 +232,18 @@ class TestAlignVolume:
         np.testing.assert_array_equal(out.features.data[:, 0][~out.validity], 0.0)
 
     def test_matches_bruteforce_oracle_across_poses(self):
+        self._check_against_oracle(self.kvol)
+
+    def test_matches_bruteforce_oracle_with_asymmetric_intrinsics(self):
+        self._check_against_oracle(geo.CameraIntrinsics(8.0, 6.5, 2.5, 3.25, 6, 6))
+
+    def _check_against_oracle(self, kvol):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             v = self._volume(seed)
             pose = small_pose(rng)
-            out = geo.align_volume(v, pose, self.kvol, self.planes)
-            expect, valid = warp_oracle(v.features.data, pose, self.kvol, self.planes)
+            out = geo.align_volume(v, pose, kvol, self.planes)
+            expect, valid = warp_oracle(v.features.data, pose, kvol, self.planes)
             np.testing.assert_allclose(out.features.data, expect, atol=1e-9)
             np.testing.assert_array_equal(out.validity, valid)
 
@@ -231,27 +277,40 @@ class TestAlignVolume:
 
     def test_resolution_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            geo.align_volume(self._volume(), geo.identity_pose(), K, self.planes)
+            geo.align_volume(self._volume(), IDENTITY, K, self.planes)
 
 
 class TestCameraFile(object):
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
-        cams = [(small_pose(rng, 0.4, 2.0), K) for _ in range(3)]
+        poses = [small_pose(rng, 0.4, 2.0) for _ in range(3)]
         path = tmp_path / "poses.txt"
-        geo.save_cameras(path, cams)
-        loaded = geo.load_cameras(path, K.width, K.height)
+        geo.save_cameras(path, poses)
+        assert all(len(line.split()) == 12 for line in path.read_text().splitlines())
+        loaded = geo.load_cameras(path)
         assert len(loaded) == 3
-        for (p0, k0), (p1, k1) in zip(cams, loaded):
+        for p0, p1 in zip(poses, loaded):
             np.testing.assert_array_equal(p0.rotation, p1.rotation)
             np.testing.assert_array_equal(p0.translation, p1.translation)
-            assert (k0.fx, k0.fy, k0.cx, k0.cy) == (k1.fx, k1.fy, k1.cx, k1.cy)
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "poses.txt"
-        path.write_text("1 2 3\n")
-        with pytest.raises(ParameterError, match="1"):
-            geo.load_cameras(path, 10, 10)
+        path.write_text("1 0 0 0 1 0 0 0 1 0 0 0\n\n1 2 3\n")
+        with pytest.raises(ParameterError, match="poses.txt:3: expected 12 values"):
+            geo.load_cameras(path)
+
+    def test_non_numeric_value_reports_position(self, tmp_path):
+        path = tmp_path / "poses.txt"
+        path.write_text("1 0 0 0 1 0 0 0 1 0 0 0\n1 0 0 0 1 0 0 0 1 abc 0 0\n")
+        with pytest.raises(ParameterError, match="poses.txt:2: could not convert"):
+            geo.load_cameras(path)
+
+    def test_line_with_intrinsics_rejected(self, tmp_path):
+        # the older 16-value line also held fx fy cx cy; intrinsics.txt is their one source
+        path = tmp_path / "poses.txt"
+        path.write_text("1 0 0 0 1 0 0 0 1 0 0 0 100 100 50 50\n")
+        with pytest.raises(ParameterError, match="poses.txt:1: expected 12 values"):
+            geo.load_cameras(path)
 
     def test_scale_intrinsics(self):
         k4 = geo.scale_intrinsics(K, 4)

@@ -110,7 +110,7 @@ class TestConfig:
             pytest.param({"channels": True}, "'channels'", id="int-as-bool"),
             pytest.param({"planes": {"d_max": False}}, "'planes.d_max'", id="float-as-bool"),
             pytest.param({"image_channels": [4, "4", 4]}, "'image_channels'", id="list-element"),
-            pytest.param({"paths": {"scene": 3}}, "'paths.scene'", id="optional-str-as-int"),
+            pytest.param({"paths": {"checkpoint": 3}}, "'paths.checkpoint'", id="optional-str-as-int"),
         ],
     )
     def test_mistyped_value_names_path(self, raw, path):
@@ -361,6 +361,14 @@ class TestCli:
                          "trajectory.frame_count", id="mistyped-value"),
             pytest.param(lambda r: r["primitives"][0].pop("kind") and None,
                          "primitives[0].kind", id="no-kind"),
+            pytest.param(lambda r: r["primitives"][4].update(radius=float("nan")),
+                         "primitives[4].radius", id="radius-nan"),
+            pytest.param(lambda r: r["camera"].update(fx=float("inf")), "camera.fx", id="fx-infinity"),
+            pytest.param(lambda r: r["camera"].update(fx=float("nan")), "camera.fx", id="fx-nan"),
+            pytest.param(lambda r: r["trajectory"].update(step=float("-inf")),
+                         "trajectory.step", id="step-minus-infinity"),
+            pytest.param(lambda r: r.update(primitives=[], trajectory={"kind": "orbit", "frame_count": 2, "step": 0.1}),
+                         "primitives", id="empty-primitives-orbit"),
         ],
     )
     def test_synth_rejects_bad_scene(self, tmp_path, capsys, edit, path):
@@ -373,6 +381,22 @@ class TestCli:
         assert self._run("synth", "--scene", str(scene), "--out", str(seq)) == 2
         assert f"'{path}'" in capsys.readouterr().err
         assert not seq.exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_malformed_intrinsics_exit_code(self, tmp_path, capsys, command):
+        seq = tmp_path / "seq"
+        spec, K = synth.default_scene(1, width=16, height=16, frame_count=1)
+        synth.generate_sequence(spec, K, seq)
+        (seq / "intrinsics.txt").write_text("1 2 3\n")
+        cfg = tiny_run_config(seq)
+        ck = tmp_path / "ck.bin"
+        training.save_checkpoint(ck, init_parameters(cfg))
+        cfg.paths.checkpoint = str(ck)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, cfg)
+        out = tmp_path / "out"
+        assert self._run(command, "--config", str(cfg_path), "--out", str(out)) == 2
+        assert "intrinsics.txt: expected 6 values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "infer", "gradcheck"])
     def test_shared_flags(self, command):

@@ -115,44 +115,28 @@ class TestRenderFrame:
 
 
 class TestReprojectionConsistency:
-    @staticmethod
-    def _bilinear(depth, valid, u, v):
-        u0, v0 = int(np.floor(u)), int(np.floor(v))
-        if not (0 <= u0 < depth.shape[1] - 1 and 0 <= v0 < depth.shape[0] - 1):
-            return None
-        if not valid[v0 : v0 + 2, u0 : u0 + 2].all():
-            return None
-        du, dv = u - u0, v - v0
-        rows = depth[v0 : v0 + 2, u0 : u0 + 2]
-        return (
-            rows[0, 0] * (1 - dv) * (1 - du)
-            + rows[0, 1] * (1 - dv) * du
-            + rows[1, 0] * dv * (1 - du)
-            + rows[1, 1] * dv * du
-        )
-
     @pytest.mark.parametrize("kind,step", [("lateral", 0.08), ("dolly", 0.1), ("orbit", 0.01)])
     def test_unoccluded_wall_reprojects_consistently(self, kind, step):
         spec = wall_scene(z0=3.0, frame_count=2, kind=kind, step=step)
         _, d0, p0 = synth.render_frame(spec, 0, K)
         _, d1, p1 = synth.render_frame(spec, 1, K)
         rel = relative_pose(p1, p0)  # frame0 camera coords -> frame1
-        hits = 0
-        for h in range(2, K.height - 2):
-            for w in range(2, K.width - 2):
-                if not d0.valid[h, w]:
-                    continue
-                pt0 = backproject((float(w), float(h)), d0.depth[h, w], K)
-                pt1 = rel.apply(pt0)
-                if pt1[2] <= 0:
-                    continue
-                u, v, z = project(pt1, K)
-                landed = self._bilinear(d1.depth, d1.valid, u, v)
-                if landed is None:
-                    continue
-                hits += 1
-                assert abs(landed - z) < 1e-6
-        assert hits > 50
+        v, u = np.nonzero(d0.valid[2:-2, 2:-2])
+        v, u = v + 2, u + 2
+        pts = rel.apply(backproject(u, v, d0.depth[v, u], K))
+        uu, vv, front = project(pts, K)
+        u0, v0 = np.floor(uu).astype(np.int64), np.floor(vv).astype(np.int64)
+        inside = front & (u0 >= 0) & (u0 < K.width - 1) & (v0 >= 0) & (v0 < K.height - 1)
+        u0, v0, z = u0[inside], v0[inside], pts[inside, 2]
+        du, dv = uu[inside] - u0, vv[inside] - v0
+        corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        hit = np.all([d1.valid[v0 + a, u0 + b] for a, b in corners], axis=0)
+        landed = sum(
+            d1.depth[v0 + a, u0 + b] * (dv if a else 1 - dv) * (du if b else 1 - du)
+            for a, b in corners
+        )
+        assert hit.sum() > 50
+        assert np.all(np.abs(landed - z)[hit] < 1e-6)
 
 
 class TestSampleSparse:
@@ -219,6 +203,33 @@ class TestSceneFilesAndSequences:
         np.testing.assert_allclose(dense.depth, dense_ref.depth.astype(np.float32), atol=1e-6)
         np.testing.assert_array_equal(pose.rotation, pose_ref.rotation)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1 2 3\n", id="three-values"),
+            pytest.param("40 40 16 12 32 24 1\n", id="seven-values"),
+            pytest.param("40 40 16 12 32.5 24\n", id="non-integer-width"),
+            pytest.param("40 40 16 12 32 abc\n", id="non-numeric-height"),
+            pytest.param("nan 40 16 12 32 24\n", id="non-finite-focal"),
+        ],
+    )
+    def test_malformed_intrinsics_names_file(self, tmp_path, text):
+        spec, kc = synth.default_scene(1, width=32, height=24, frame_count=1)
+        out = tmp_path / "seq"
+        synth.generate_sequence(spec, kc, out)
+        (out / "intrinsics.txt").write_text(text)
+        with pytest.raises(ParameterError, match=re.escape(str(out / "intrinsics.txt"))):
+            synth.load_sequence(out)
+
+    def test_sequence_intrinsics_come_from_intrinsics_file(self, tmp_path):
+        spec, kc = synth.default_scene(1, width=32, height=24, frame_count=2)
+        out = tmp_path / "seq"
+        synth.generate_sequence(spec, kc, out)
+        assert all(len(line.split()) == 12 for line in (out / "poses.txt").read_text().splitlines())
+        (out / "intrinsics.txt").write_text("30 31 15.5 11.5 32 24\n")
+        _, k2 = synth.load_sequence(out)
+        assert (k2.fx, k2.fy, k2.cx, k2.cy, k2.width, k2.height) == (30.0, 31.0, 15.5, 11.5, 32, 24)
+
     def test_low_coverage_rejected(self, tmp_path):
         tiny = synth.SceneSpec(
             seed=0,
@@ -277,13 +288,24 @@ class TestSceneLoader:
             pytest.param(lambda r: r["primitives"][0].update(center=[0.0, 0.0]),
                          "key 'primitives[0].center'", id="center-two-entries"),
             pytest.param(lambda r: [r], "the root must be", id="list-root"),
+            pytest.param(lambda r: r["primitives"][4].update(radius=float("nan")),
+                         "key 'primitives[4].radius'", id="radius-nan"),
+            pytest.param(lambda r: r["camera"].update(fx=float("inf")), "key 'camera.fx'", id="fx-infinity"),
+            pytest.param(lambda r: r["camera"].update(fx=float("nan")), "key 'camera.fx'", id="fx-nan"),
+            pytest.param(lambda r: r["primitives"][0]["center"].__setitem__(0, float("-inf")),
+                         "key 'primitives[0].center'", id="center-minus-infinity"),
+            pytest.param(lambda r: r.update(primitives=[]), "'primitives'", id="empty-primitives"),
+            pytest.param(lambda r: r.update(primitives=[], trajectory={"kind": "orbit", "frame_count": 2, "step": 0.1}),
+                         "'primitives'", id="empty-primitives-orbit"),
         ],
     )
     def test_fault_names_key_path(self, tmp_path, edit, path):
         scene = tmp_path / "scene.json"
         scene.write_text(json.dumps(_edited(edit)))
-        with pytest.raises(ConfigError, match=re.escape(path)):
+        with pytest.raises(ConfigError, match=re.escape(path)) as excinfo:
             synth.load_scene(scene)
+        # a misfit echoes at most 80 characters of the value, however large it is
+        assert len(str(excinfo.value)) <= 160
 
     def test_malformed_json(self, tmp_path):
         scene = tmp_path / "scene.json"
