@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, TrainingError
+from .errors import DimensionError, NumericError, ParameterError
 
 LEAKY_SLOPE = 0.01
 

@@ -52,7 +52,7 @@ def _cmd_train(args):
     cfg = _load_config(args)
     out_dir = cfg.paths.out_dir or "train_out"
     os.makedirs(out_dir, exist_ok=True)
-    params, _, trace = run_training(cfg)
+    params, trace = run_training(cfg)
     ck_path = os.path.join(out_dir, "checkpoint.bin")
     save_checkpoint(ck_path, params)
     write_loss_trace(os.path.join(out_dir, "loss_trace.csv"), trace)

@@ -59,8 +59,6 @@ class RunConfig:
     refinement: bool = True
     refine_iterations: int = 6
     refine_channels: int = 8
-    mask_invalid_previous: bool = False
-    temporal_grad: bool = False
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)

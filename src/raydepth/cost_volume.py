@@ -4,7 +4,7 @@ that turns the stacked feature volume into a cost volume."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -87,7 +87,7 @@ def fusion_benefit_run(seed, epochs=40):
             ),
             seed=seed,
         )
-        params, _, _ = train_frames(cfg, frames, K, epochs=epochs)
+        params, _ = train_frames(cfg, frames, K, epochs=epochs)
         maes = evaluate_sequence(cfg, params, frames, K)
         out[mode] = float(np.mean(maes[1:]))
     return out["fused"], out["single_view"]
@@ -107,7 +107,7 @@ def sparsity_robustness_run(seeds=(0, 1), train_fraction=0.005, eval_fractions=(
             ),
             seed=seed,
         )
-        params, _, _ = train_frames(cfg, frames, K, epochs=epochs)
+        params, _ = train_frames(cfg, frames, K, epochs=epochs)
         for frac in eval_fractions:
             totals[frac].extend(evaluate_sequence(replace(cfg, sparse_fraction=frac), params, frames, K))
     return {f: float(np.mean(v)) for f, v in totals.items()}

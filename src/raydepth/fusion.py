@@ -20,8 +20,6 @@ from .autodiff import Tensor, leaky_relu, uniform_init
 from .cost_volume import CostVolume
 from .errors import DimensionError, ParameterError
 
-_MASK_PENALTY = 1e30
-
 
 class ScoreAllocationMeter:
     """Tracks attention score-buffer allocations (entries of Q K^T)."""
@@ -70,7 +68,7 @@ class AttentionBlockParams:
     wo: Tensor
 
 
-def attention(q, k, v, params, score_bias=None):
+def attention(q, k, v, params):
     """Scaled dot-product attention with learned projections on queries,
     keys, values, and output.
 
@@ -91,8 +89,6 @@ def attention(q, k, v, params, score_bias=None):
     scores = ad.matmul(q2, ad.transpose(k2, tuple(range(k2.ndim - 2)) + (k2.ndim - 1, k2.ndim - 2)))
     scores = scores * (1.0 / np.sqrt(c))
     score_meter.record(scores.size, int(np.prod(scores.shape[:-2], dtype=np.int64)))
-    if score_bias is not None:
-        scores = scores + Tensor(score_bias)
     weights = ad.softmax_lastdim(scores)
     return ad.matmul(ad.matmul(weights, v2), params.wo)
 
@@ -153,7 +149,7 @@ def _from_rays(rays, shape):
     return ad.transpose(ad.reshape(rays, (h, w, d, c)), (2, 3, 0, 1))
 
 
-def _fuse(current, previous_aligned, params, whole_volume, mask_invalid_previous):
+def _fuse(current, previous_aligned, params, whole_volume):
     """The fusion core.  Tokens are grouped per ray, (H*W, D, C), or with
     ``whole_volume`` into one group of every voxel, (1, D*H*W, C); attention
     runs within each group, so only the score-buffer size differs.  The
@@ -177,26 +173,19 @@ def _fuse(current, previous_aligned, params, whole_volume, mask_invalid_previous
     if previous_aligned is not None:
         x_prev = tokens(pre_fusion_convs(previous_aligned, params).features)
         sa_prev = attention(x_prev, x_prev, x_prev, sa_prev_block)
-        key_bias = any_valid = None
-        if mask_invalid_previous and previous_aligned.validity is not None:
-            vmask = previous_aligned.validity.transpose(1, 2, 0).reshape(groups)
-            key_bias = np.where(vmask, 0.0, -_MASK_PENALTY)[:, None, :]
-            any_valid = vmask.any(axis=1).astype(np.float64)[:, None, None]
-        fused = attention(fused, sa_prev, sa_prev, cross_block, score_bias=key_bias)
-        if any_valid is not None:
-            fused = fused * Tensor(any_valid)
+        fused = attention(fused, sa_prev, sa_prev, cross_block)
     if whole_volume:
         fused = ad.reshape(fused, (h * w, d, c))
     return CostVolume(current.planes, _from_rays(fused, (d, c, h, w)) + g_cur.features)
 
 
-def fuse_volumes(current, previous_aligned, params, *, mask_invalid_previous=False):
+def fuse_volumes(current, previous_aligned, params):
     """Fuse the current cost volume with the aligned previous one, ray by ray.
 
     With ``previous_aligned`` None (first frame / single-view mode) only the
     current volume's self-attention runs.
     """
-    return _fuse(current, previous_aligned, params, False, mask_invalid_previous)
+    return _fuse(current, previous_aligned, params, False)
 
 
 def fuse_volumes_naive(current, previous_aligned, params):
@@ -204,4 +193,4 @@ def fuse_volumes_naive(current, previous_aligned, params):
     volume in one token group, so score buffers hold (D*H*W)^2 entries.
     Where H = W = 1 the two groupings coincide; elsewhere each token attends
     to more keys than its own ray's.  Only meant for small benchmark sizes."""
-    return _fuse(current, previous_aligned, params, True, False)
+    return _fuse(current, previous_aligned, params, True)

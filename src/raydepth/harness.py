@@ -4,7 +4,6 @@ resamples sparse inputs every epoch, and the full-pipeline gradient check."""
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 from . import autodiff as ad
@@ -78,14 +77,13 @@ def run_inference(cfg, params, seq_dir=None, out_dir=None):
 
 def train_frames(cfg, frames, K, epochs=None):
     """Train on in-memory (img, dense, pose) frames, drawing fresh sparse
-    inputs every epoch; returns the params, optimizer state, and loss trace."""
+    inputs every epoch; returns the params and the loss trace."""
     params = init_parameters(cfg)
     opt_state = training.init_optimizer(params, cfg.optimizer)
     gt = [dense for _, dense, _ in frames]
-    params, trace = training.train_sequence(
+    return training.train_sequence(
         lambda epoch: sparse_inputs(cfg, frames, epoch=epoch), gt, K, params, opt_state, cfg, epochs=epochs
     )
-    return params, opt_state, trace
 
 
 def run_training(cfg, seq_dir=None, epochs=None):
@@ -101,24 +99,19 @@ def gradcheck_loss_builder(cfg, n_frames=2):
     """Deterministic tiny clip plus a closure mapping params to the summed
     per-frame training loss; used by the full-pipeline gradient check.
 
-    The carried volume stays attached (2-frame BPTT) so the reverse-mode
-    gradient and the finite difference measure the same function; streaming
-    training detaches it, which a finite-difference probe cannot see.
+    The carried volume keeps its graph, so the loss backpropagates through
+    all ``n_frames`` (full BPTT): the function finite differences probe.
     """
-    cfg = dataclasses.replace(cfg, temporal_grad=True)
     size = 4 * cfg.downscale
     spec, K = synth.default_scene(cfg.seed, width=size, height=size, frame_count=n_frames, step=0.05)
     planes = planes_for(cfg)
-    frames = []
-    for t in range(n_frames):
-        img, dense, pose = synth.render_frame(spec, t, K)
-        sparse = synth.sample_sparse(dense, sparse_sample_count(cfg, dense), [cfg.seed, t])
-        frames.append((img, sparse, dense, pose))
+    frames = [synth.render_frame(spec, t, K) for t in range(n_frames)]
+    inputs = sparse_inputs(cfg, frames)
 
     def loss_fn(params):
         state = None
         total = None
-        for img, sparse, dense, pose in frames:
+        for (img, sparse, pose), (_, dense, _) in zip(inputs, frames):
             result, state = forward_frame(img, sparse, pose, state, params, cfg, K)
             loss, _ = training.frame_loss(result, dense, cfg.loss, planes)
             total = loss if total is None else total + loss
@@ -129,13 +122,8 @@ def gradcheck_loss_builder(cfg, n_frames=2):
 
 def run_gradcheck(cfg, n_frames=2, step=1e-5):
     """Max relative error between reverse-mode and central-difference
-    gradients of the full pipeline loss, per parameter."""
-    if n_frames > 2:
-        raise ParameterError(
-            "gradcheck supports at most 2 frames: beyond the 2-frame BPTT "
-            "window the carried volume is detached, which finite differences "
-            "cannot reproduce"
-        )
+    gradients of the full pipeline loss over ``n_frames`` frames, per
+    parameter."""
     loss_fn = gradcheck_loss_builder(cfg, n_frames=n_frames)
     params = init_parameters(cfg)
     return ad.gradient_check_report(loss_fn, params, step=step)

@@ -17,11 +17,10 @@ from .geometry import Pose, align_volume, make_planes, relative_pose, scale_intr
 @dataclass(eq=False)
 class FrameState:
     """Recurrent state carried across frames: the fused volume at the
-    previous viewpoint.  ``attached`` marks a live graph (2-frame BPTT)."""
+    previous viewpoint, with whatever graph its forward recorded."""
 
     volume: CostVolume
     pose: Pose
-    attached: bool = False
 
 
 @dataclass(eq=False)
@@ -30,7 +29,6 @@ class FrameResult:
     refined: regression.DepthMap | None
     prob: regression.ProbabilityVolume
     confidence: Tensor
-    fused: CostVolume
 
     @property
     def output(self):
@@ -59,7 +57,9 @@ def forward_frame(img, sparse, pose, state, params, cfg, K):
 
     Returns the frame's outputs and the state to carry to the next frame.
     ``state`` is None on the first frame; in single-view mode the previous
-    volume is ignored and only self-attention runs.
+    volume is ignored and only self-attention runs.  The carried volume is
+    the live fused one, so a loss summed over frames backpropagates through
+    every frame; a caller that wants a shorter window detaches it.
     """
     planes = planes_for(cfg)
     k_vol = scale_intrinsics(K, cfg.downscale)
@@ -76,7 +76,7 @@ def forward_frame(img, sparse, pose, state, params, cfg, K):
         cur_to_prev = relative_pose(state.pose, pose)
         previous = align_volume(state.volume, cur_to_prev, k_vol, planes)
 
-    fused = fusion.fuse_volumes(current, previous, params, mask_invalid_previous=cfg.mask_invalid_previous)
+    fused = fusion.fuse_volumes(current, previous, params)
 
     logits = regression.to_unnormalized_probability(fused, params, cfg.downscale)
     depth, prob = regression.regress_depth(logits, planes)
@@ -84,10 +84,5 @@ def forward_frame(img, sparse, pose, state, params, cfg, K):
     refined = None
     if cfg.refinement:
         refined = regression.refine_depth(depth, conf, img, sparse, params, cfg.refine_iterations)
-
-    carry_attached = cfg.temporal_grad and (state is None or not state.attached)
-    carried = fused if carry_attached else CostVolume(planes, fused.features.detach())
-    return (
-        FrameResult(regressed=depth, refined=refined, prob=prob, confidence=conf, fused=fused),
-        FrameState(carried, pose, attached=carry_attached),
-    )
+    result = FrameResult(regressed=depth, refined=refined, prob=prob, confidence=conf)
+    return result, FrameState(fused, pose)

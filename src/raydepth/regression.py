@@ -36,7 +36,6 @@ class DepthMap:
     width: int
     height: int
     depth: Tensor
-    confidence: Tensor | None = None
 
     def __post_init__(self):
         if not isinstance(self.depth, Tensor):
@@ -114,7 +113,7 @@ def refine_depth(d, conf, img, sparse, params, iterations):
     if iterations < 0:
         raise ParameterError(f"iterations must be >= 0, got {iterations}")
     if iterations == 0:
-        return DepthMap(d.width, d.height, d.depth, conf)
+        return DepthMap(d.width, d.height, d.depth)
     stack = ad.concat(
         [
             Tensor(img.channels),
@@ -144,4 +143,4 @@ def refine_depth(d, conf, img, sparse, params, iterations):
             shifted = padded[1 + dy : 1 + dy + d.height, 1 + dx : 1 + dx + d.width]
             acc = acc + affinity[k] * shifted
         current = acc * keep + initial * pull
-    return DepthMap(d.width, d.height, current, conf)
+    return DepthMap(d.width, d.height, current)

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
+from .cost_volume import CostVolume
 from .errors import CheckpointError, DimensionError, EmptySupervisionError, TrainingError
 from .pipeline import forward_frame, planes_for
 
@@ -167,7 +168,7 @@ class LossTrace:
 
 def train_sequence(epoch_frames, gt, K, params, opt_state, cfg, epochs=None):
     """Stream each epoch's frames in temporal order, one optimizer step per
-    frame, carrying the fused volume across frames within an epoch.
+    frame, carrying the detached fused volume across frames within an epoch.
 
     ``epoch_frames(epoch)`` returns that epoch's (RGBImage, SparseDepthMap,
     Pose) triples, so callers choose fixed or per-epoch resampled sparse
@@ -187,6 +188,10 @@ def train_sequence(epoch_frames, gt, K, params, opt_state, cfg, epochs=None):
         for index, (img, sparse, pose) in enumerate(frames):
             params.zero_grad()
             result, state = forward_frame(img, sparse, pose, state, params, cfg, K)
+            # Each step's backward stops at the frame boundary: it never runs
+            # the closures of an earlier frame, whose weights the optimizer
+            # has already moved.
+            state.volume = CostVolume(planes, state.volume.features.detach())
             loss, parts = frame_loss(result, gt[index], cfg.loss, planes)
             loss.backward()
             for _, p in params.items():

@@ -251,15 +251,6 @@ class TestFuseVolumes:
         with pytest.raises(DimensionError):
             fusion.fuse_volumes(volume(2, 2, 3, 3), volume(2, 2, 4, 4, seed=1), store)
 
-    def test_masked_invalid_previous_rays_fall_back_to_residual(self):
-        store = fusion_store(2, seed=20)
-        cur = volume(3, 2, 2, 2, seed=21)
-        prev = volume(3, 2, 2, 2, seed=22)
-        prev.validity = np.zeros((3, 2, 2), dtype=bool)
-        out = fusion.fuse_volumes(cur, prev, store, mask_invalid_previous=True)
-        pre = fusion.pre_fusion_convs(cur, store)
-        np.testing.assert_allclose(out.features.data, pre.features.data, atol=1e-12)
-
     def test_whole_volume_grouping_equals_ray_grouping_on_one_ray(self):
         # with H = W = 1 both paths hold the same D tokens in one group
         store = fusion_store(4, seed=34)

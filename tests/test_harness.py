@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from raydepth import autodiff as ad
 from raydepth import bench, harness, metrics, synth, training
 from raydepth.autodiff import Tensor
 from raydepth.config import (
@@ -53,6 +54,8 @@ class TestConfig:
             pytest.param({"share_self_attention": False}, "'share_self_attention'", id="removed-share"),
             pytest.param({"loss": {"spn_l1": True}}, "'loss.spn_l1'", id="removed-spn_l1"),
             pytest.param({"loss": {"use_l2": True}}, "'loss.use_l2'", id="removed-use_l2"),
+            pytest.param({"temporal_grad": True}, "'temporal_grad'", id="removed-temporal_grad"),
+            pytest.param({"mask_invalid_previous": True}, "'mask_invalid_previous'", id="removed-mask"),
         ],
     )
     def test_unknown_key_names_path(self, tmp_path, raw, path):
@@ -235,7 +238,7 @@ def tiny_sequence(tmp_path_factory):
 class TestDrivers:
     def test_train_then_infer(self, tiny_sequence, tmp_path):
         cfg = tiny_run_config(tiny_sequence)
-        params, _, trace = harness.run_training(cfg)
+        params, trace = harness.run_training(cfg)
         assert len(trace.epoch_means) == 2
         out = tmp_path / "out"
         rows, outputs = harness.run_inference(cfg, params, out_dir=out)
@@ -270,6 +273,32 @@ class TestDrivers:
         cfg.sparse_count = 6
         report = harness.run_gradcheck(cfg, n_frames=1)
         assert max(report.values()) < 1e-4
+
+    def test_three_frame_bptt_probes(self):
+        # Alignment and cross-attention end to end: the first and the last
+        # entry of every parameter tensor against central differences of the
+        # 3-frame loss, which backpropagates through all three frames.
+        cfg = tiny_run_config(refinement=False)
+        cfg.sparse_count = 6
+        loss_fn = harness.gradcheck_loss_builder(cfg, n_frames=3)
+        params = init_parameters(cfg)
+        loss_fn(params).backward()
+        step = 1e-5
+        errors = {}
+        with ad.no_grad():
+            for path, p in params.items():
+                flat = p.data.reshape(-1)
+                for i in {0, flat.size - 1}:
+                    saved = flat[i]
+                    flat[i] = saved + step
+                    f_plus = loss_fn(params).item()
+                    flat[i] = saved - step
+                    f_minus = loss_fn(params).item()
+                    flat[i] = saved
+                    fd = (f_plus - f_minus) / (2.0 * step)
+                    g = p.grad.reshape(-1)[i]
+                    errors[f"{path}[{i}]"] = abs(g - fd) / max(1.0, abs(g), abs(fd))
+        assert {k: e for k, e in errors.items() if e >= 1e-4} == {}
 
 
 class TestCli:

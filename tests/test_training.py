@@ -317,6 +317,27 @@ class TestTrainSequence:
         with pytest.raises(TrainingError, match="1 frames but 2"):
             tr.train_sequence(lambda _: frames[:1], gts, K, params, state, cfg, epochs=1)
 
+    def test_carried_volume_is_detached_after_each_frame(self, monkeypatch):
+        from raydepth.pipeline import init_parameters
+
+        cfg = tiny_config()
+        frames, gts, K = tiny_frames(cfg, n_frames=3)
+        params = init_parameters(cfg, seed=0)
+        state = tr.init_optimizer(params, cfg.optimizer)
+        forward_frame = tr.forward_frame
+        incoming = []
+
+        def spy(img, sparse, pose, carried, *args):
+            incoming.append(carried)
+            return forward_frame(img, sparse, pose, carried, *args)
+
+        monkeypatch.setattr(tr, "forward_frame", spy)
+        tr.train_sequence(lambda _: frames, gts, K, params, state, cfg, epochs=1)
+        assert incoming[0] is None and len(incoming) == 3
+        for carried in incoming[1:]:
+            assert carried.volume.features.op is None
+            assert not carried.volume.features.requires_grad
+
     def test_epoch_means_derived_from_rows(self):
         trace = tr.LossTrace(rows=[(0, 0, 0, 0, 1.0), (0, 1, 0, 0, 3.0), (1, 0, 0, 0, 5.0)])
         assert trace.epoch_means == [2.0, 5.0]
