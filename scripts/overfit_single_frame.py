@@ -7,7 +7,6 @@ import csv
 
 import numpy as np
 
-from raydepth.config import LossConfig
 from raydepth.experiments import overfit_run
 
 
@@ -15,16 +14,14 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--steps", type=int, default=500)
-    ap.add_argument("--ce-only", action="store_true", help="drop the L1 term")
     ap.add_argument("--out", default="overfit_trace.csv")
     args = ap.parse_args()
 
-    loss = LossConfig(use_l1=not args.ce_only, use_ce=True)
-    mae, totals = overfit_run(seed=args.seed, steps=args.steps, loss=loss)
+    mae, totals = overfit_run(seed=args.seed, steps=args.steps)
     windows = [float(np.mean(totals[i : i + 10])) for i in range(0, len(totals), 10)]
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["step", "total_loss"])
+        writer.writerow(["step", "total"])
         for i, v in enumerate(totals):
             writer.writerow([i, f"{v:.9g}"])
     drops = sum(windows[i + 1] <= windows[i] for i in range(len(windows) - 1))

@@ -3,7 +3,7 @@ cost volumes, with a self-contained float64 autodiff engine and a synthetic
 RGB-D scene generator for exact end-to-end testing."""
 
 from .autodiff import ParameterStore, Tensor, gradient_check, no_grad
-from .config import LossConfig, OptimizerConfig, PlanesConfig, RunConfig, parse_config
+from .config import OptimizerConfig, PlanesConfig, RunConfig, parse_config
 from .cost_volume import CostVolume, RGBImage, SparseDepthMap
 from .geometry import CameraIntrinsics, DepthPlaneSet, Pose, make_planes
 from .regression import DepthMap, ProbabilityVolume
@@ -15,7 +15,6 @@ __all__ = [
     "CostVolume",
     "DepthMap",
     "DepthPlaneSet",
-    "LossConfig",
     "OptimizerConfig",
     "ParameterStore",
     "PlanesConfig",

@@ -90,6 +90,8 @@ def _cmd_bench(args):
 
 
 def _cmd_gradcheck(args):
+    if args.top < 1:
+        raise ParameterError(f"--top must be >= 1, got {args.top}")
     cfg = _load_config(args)
     report = run_gradcheck(cfg, n_frames=args.frames)
     worst = max(report.values())

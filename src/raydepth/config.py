@@ -3,6 +3,13 @@ scene files, both driven by the dataclass type hints.  Unknown or missing
 keys and values that do not fit their hint fail with the key path.
 An empty JSON object yields the defaults (16 planes over [1e-3, 10] m,
 downscale 4, fused mode, refinement on).
+
+What a run may set is the model's width and mode, the plane range, the
+optimizer, the paths, the seed and the sparsity.  The rest is fixed: the
+loss is L1 on the output depth plus cross entropy on the plane
+distribution, refinement runs `regression.REFINE_ITERATIONS` steps over
+`regression.REFINE_CHANNELS` channels, and metrics count pixels within
+the plane range.
 """
 
 from __future__ import annotations
@@ -22,16 +29,6 @@ class PlanesConfig:
     count: int = 16
     d_min: float = 1e-3
     d_max: float = 10.0
-
-
-@dataclass
-class LossConfig:
-    use_l1: bool = True
-    use_ce: bool = True
-
-    def enabled_terms(self):
-        """The enabled loss terms, named by their `use_<term>` fields."""
-        return [f.name.removeprefix("use_") for f in fields(self) if getattr(self, f.name)]
 
 
 @dataclass
@@ -57,15 +54,11 @@ class RunConfig:
     downscale: int = 4
     mode: str = "fused"
     refinement: bool = True
-    refine_iterations: int = 6
-    refine_channels: int = 8
-    loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
     seed: int = 0
     sparse_count: int | None = 300
     sparse_fraction: float | None = None
-    eval_range: tuple[float, ...] | None = None
 
 
 def _fits(hint, value):
@@ -176,21 +169,12 @@ def validate_config(cfg):
                           f"{cfg.channels}")
     if len(cfg.image_channels) != 3 or any(c < 1 for c in cfg.image_channels):
         raise ConfigError("image_channels must be three positive widths")
-    if cfg.refine_iterations < 0:
-        raise ConfigError("refine_iterations must be >= 0")
-    if cfg.refine_channels < 1:
-        raise ConfigError(f"refine_channels must be >= 1, got {cfg.refine_channels}")
-    if not cfg.loss.enabled_terms():
-        raise ConfigError("at least one loss term must be enabled")
     if (cfg.sparse_count is None) == (cfg.sparse_fraction is None):
         raise ConfigError("exactly one of sparse_count / sparse_fraction must be set")
     if cfg.sparse_count is not None and cfg.sparse_count < 1:
         raise ConfigError(f"sparse_count must be >= 1, got {cfg.sparse_count}")
     if cfg.sparse_fraction is not None and not (0 < cfg.sparse_fraction <= 1):
         raise ConfigError("sparse_fraction must lie in (0, 1]")
-    if cfg.eval_range is not None:
-        if len(cfg.eval_range) != 2 or not (cfg.eval_range[0] < cfg.eval_range[1]):
-            raise ConfigError("eval_range must be [low, high] with low < high")
     opt = cfg.optimizer
     if opt.epochs < 0:
         raise ConfigError(f"optimizer.epochs must be >= 0, got {opt.epochs}")

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import synth, training
-from .config import LossConfig, OptimizerConfig, PlanesConfig, RunConfig, validate_config
+from .config import OptimizerConfig, PlanesConfig, RunConfig, validate_config
 from .harness import sparse_inputs, stream_frames, train_frames
 from .pipeline import init_parameters
 
@@ -42,21 +42,20 @@ def render_frames(seed, width=64, height=48, count=8, step=0.04):
 
 def evaluate_sequence(cfg, params, frames, K):
     """Stream the sequence through the trained model; per-frame MAE against
-    the dense ground truth within the evaluation range."""
+    the dense ground truth within the plane range."""
     return [m.mae for _, _, m in stream_frames(cfg, params, frames, K)]
 
 
 # -- protocols -------------------------------------------------------------------
 
 
-def overfit_run(seed=0, steps=500, loss=None, sparse_count=30):
+def overfit_run(seed=0, steps=500, sparse_count=30):
     """One 32x32 frame, 8 planes, 8 channels, ``steps`` optimizer steps.
 
     Returns (final MAE on ground-truth pixels, per-step total-loss trace).
     """
     cfg = desk_config(
         sparse_count=sparse_count,
-        loss=loss if loss is not None else LossConfig(),
         optimizer=OptimizerConfig(
             learning_rate=3e-4, weight_decay=1e-4, epochs=steps, milestones=(200, 300, 400, 450)
         ),
@@ -67,7 +66,7 @@ def overfit_run(seed=0, steps=500, loss=None, sparse_count=30):
     state = training.init_optimizer(params, cfg.optimizer)
     gt = [dense for _, dense, _ in frames]
     inputs = sparse_inputs(cfg, frames)
-    params, trace = training.train_sequence(lambda _: inputs, gt, K, params, state, cfg, epochs=steps)
+    params, trace = training.train_sequence(lambda _: inputs, gt, K, params, state, cfg)
     (mae,) = evaluate_sequence(cfg, params, frames, K)
     return mae, [row[4] for row in trace.rows]
 
@@ -87,7 +86,7 @@ def fusion_benefit_run(seed, epochs=40):
             ),
             seed=seed,
         )
-        params, _ = train_frames(cfg, frames, K, epochs=epochs)
+        params, _ = train_frames(cfg, frames, K)
         maes = evaluate_sequence(cfg, params, frames, K)
         out[mode] = float(np.mean(maes[1:]))
     return out["fused"], out["single_view"]
@@ -107,7 +106,7 @@ def sparsity_robustness_run(seeds=(0, 1), train_fraction=0.005, eval_fractions=(
             ),
             seed=seed,
         )
-        params, _ = train_frames(cfg, frames, K, epochs=epochs)
+        params, _ = train_frames(cfg, frames, K)
         for frac in eval_fractions:
             totals[frac].extend(evaluate_sequence(replace(cfg, sparse_fraction=frac), params, frames, K))
     return {f: float(np.mean(v)) for f, v in totals.items()}

@@ -20,12 +20,12 @@ def write_ppm(path, image):
         f.write(interleaved)
 
 
-def _read_token(f):
+def _read_token(f, path):
     tok = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise ParameterError("unexpected end of header")
+            raise ParameterError(f"{path}: unexpected end of header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = f.read(1)
@@ -37,15 +37,24 @@ def _read_token(f):
         tok += ch
 
 
+def _read_header(f, path, magic, kind, last):
+    """Width, height and the third header field (PPM maxval, PFM scale) of
+    a file that must start with ``magic``; ``last`` parses the third."""
+    if _read_token(f, path) != magic:
+        raise ParameterError(f"{path} is not a {kind} file")
+    try:
+        width, height = int(_read_token(f, path)), int(_read_token(f, path))
+        third = last(_read_token(f, path))
+    except ValueError as exc:
+        raise ParameterError(f"{path}: malformed header: {exc}") from exc
+    return width, height, third
+
+
 def read_ppm(path):
     with open(path, "rb") as f:
-        if _read_token(f) != b"P6":
-            raise ParameterError(f"{path} is not a binary PPM (P6) file")
-        width = int(_read_token(f))
-        height = int(_read_token(f))
-        maxval = int(_read_token(f))
+        width, height, maxval = _read_header(f, path, b"P6", "binary PPM (P6)", int)
         if maxval != 255:
-            raise ParameterError(f"unsupported PPM maxval {maxval}")
+            raise ParameterError(f"{path}: unsupported PPM maxval {maxval}")
         raw = f.read(width * height * 3)
     if len(raw) != width * height * 3:
         raise ParameterError(f"{path} is truncated")
@@ -66,11 +75,9 @@ def write_pfm(path, data):
 
 def read_pfm(path):
     with open(path, "rb") as f:
-        if _read_token(f) != b"Pf":
-            raise ParameterError(f"{path} is not a single-channel PFM (Pf) file")
-        width = int(_read_token(f))
-        height = int(_read_token(f))
-        scale = float(_read_token(f))
+        width, height, scale = _read_header(f, path, b"Pf", "single-channel PFM (Pf)", float)
+        if not (np.isfinite(scale) and scale != 0):
+            raise ParameterError(f"{path}: PFM scale must be finite and nonzero, got {scale}")
         raw = f.read(width * height * 4)
     if len(raw) != width * height * 4:
         raise ParameterError(f"{path} is truncated")
@@ -83,4 +90,7 @@ def read_depth_map(path):
     """Load a PFM depth file as a SparseDepthMap (values <= 0 invalid)."""
     data = read_pfm(path)
     valid = data > 0
-    return SparseDepthMap(data.shape[1], data.shape[0], np.where(valid, data, 0.0), valid)
+    try:
+        return SparseDepthMap(data.shape[1], data.shape[0], np.where(valid, data, 0.0), valid)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc

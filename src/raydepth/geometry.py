@@ -215,11 +215,9 @@ def load_cameras(path):
                 continue
             try:
                 vals = [float(tok) for tok in line.split()]
+                if len(vals) != 12:
+                    raise ParameterError(f"expected 12 values per pose line, got {len(vals)}")
+                poses.append(Pose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:])))
             except ValueError as exc:
                 raise ParameterError(f"{path}:{line_no}: {exc}") from exc
-            if len(vals) != 12:
-                raise ParameterError(
-                    f"{path}:{line_no}: expected 12 values per pose line, got {len(vals)}"
-                )
-            poses.append(Pose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:])))
     return poses

@@ -30,38 +30,31 @@ def sparse_inputs(cfg, frames, epoch=None):
     return out
 
 
-def eval_range(cfg):
-    if cfg.eval_range is not None:
-        return cfg.eval_range
-    return (cfg.planes.d_min, cfg.planes.d_max)
-
-
 def stream_frames(cfg, params, frames, K):
     """Stream in-memory (img, dense, pose) frames through the pipeline without
     recording a graph, carrying the fused volume from frame to frame.
 
-    Yields (t, FrameResult, Metrics against the dense ground truth).
+    Yields (t, FrameResult, Metrics against the dense ground truth within
+    the plane range).
     Recording is off only inside each forward call, so a paused or abandoned
     generator leaves its caller's graph recording as it was.
     """
-    low, high = eval_range(cfg)
     state = None
     for t, (img, sparse, pose) in enumerate(sparse_inputs(cfg, frames)):
         with ad.no_grad():
             result, state = forward_frame(img, sparse, pose, state, params, cfg, K)
-        yield t, result, compute_metrics(result.output, frames[t][1], low, high)
+        yield t, result, compute_metrics(result.output, frames[t][1], cfg.planes.d_min, cfg.planes.d_max)
 
 
-def run_inference(cfg, params, seq_dir=None, out_dir=None):
-    """Stream a sequence directory through the pipeline.
+def run_inference(cfg, params, out_dir=None):
+    """Stream the config's sequence directory through the pipeline.
 
     Writes depth_%04d.pfm, conf_%04d.pfm, and metrics.csv when ``out_dir``
     is given.  Returns (per-frame metrics, per-frame output DepthMaps).
     """
-    seq_dir = seq_dir or cfg.paths.sequence_dir
-    if seq_dir is None:
-        raise ParameterError("inference needs a sequence directory")
-    frames, K = synth.load_sequence(seq_dir)
+    if cfg.paths.sequence_dir is None:
+        raise ParameterError("inference needs paths.sequence_dir")
+    frames, K = synth.load_sequence(cfg.paths.sequence_dir)
     rows, outputs = [], []
     for t, result, m in stream_frames(cfg, params, frames, K):
         outputs.append(result.output)
@@ -86,12 +79,11 @@ def train_frames(cfg, frames, K, epochs=None):
     )
 
 
-def run_training(cfg, seq_dir=None, epochs=None):
-    """Train on one sequence directory per the config; see train_frames."""
-    seq_dir = seq_dir or cfg.paths.sequence_dir
-    if seq_dir is None:
-        raise ParameterError("training needs a sequence directory")
-    frames, K = synth.load_sequence(seq_dir)
+def run_training(cfg, epochs=None):
+    """Train on the config's sequence directory; see train_frames."""
+    if cfg.paths.sequence_dir is None:
+        raise ParameterError("training needs paths.sequence_dir")
+    frames, K = synth.load_sequence(cfg.paths.sequence_dir)
     return train_frames(cfg, frames, K, epochs=epochs)
 
 
@@ -113,7 +105,7 @@ def gradcheck_loss_builder(cfg, n_frames=2):
         total = None
         for (img, sparse, pose), (_, dense, _) in zip(inputs, frames):
             result, state = forward_frame(img, sparse, pose, state, params, cfg, K)
-            loss, _ = training.frame_loss(result, dense, cfg.loss, planes)
+            loss, _ = training.frame_loss(result, dense, planes)
             total = loss if total is None else total + loss
         return total
 

@@ -48,7 +48,7 @@ def init_parameters(cfg, seed=None):
     fusion.add_fusion_params(store, rng, cfg.channels)
     regression.add_regression_params(store, rng, cfg.channels, cfg.downscale)
     if cfg.refinement:
-        regression.add_refine_params(store, rng, cfg.refine_channels)
+        regression.add_refine_params(store, rng, regression.REFINE_CHANNELS)
     return store
 
 
@@ -83,6 +83,6 @@ def forward_frame(img, sparse, pose, state, params, cfg, K):
     conf = regression.confidence_map(prob)
     refined = None
     if cfg.refinement:
-        refined = regression.refine_depth(depth, conf, img, sparse, params, cfg.refine_iterations)
+        refined = regression.refine_depth(depth, conf, img, sparse, params, regression.REFINE_ITERATIONS)
     result = FrameResult(regressed=depth, refined=refined, prob=prob, confidence=conf)
     return result, FrameState(fused, pose)

@@ -14,6 +14,10 @@ from .errors import DimensionError, ParameterError
 from .geometry import DepthPlaneSet
 
 NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+# The pipeline's refinement stage: hidden width of the affinity network and
+# number of propagation steps.
+REFINE_CHANNELS = 8
+REFINE_ITERATIONS = 6
 
 
 @dataclass(eq=False)

@@ -316,9 +316,20 @@ def load_sequence(seq_dir):
         K = CameraIntrinsics(*map(float, vals[:4]), *map(int, vals[4:]))
     except ValueError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
+    poses_path = os.path.join(seq_dir, "poses.txt")
+    poses = load_cameras(poses_path)
+    if not poses:
+        raise ParameterError(f"{poses_path}: no poses, so the sequence has no frames")
     frames = []
-    for t, pose in enumerate(load_cameras(os.path.join(seq_dir, "poses.txt"))):
-        image = fileio.read_ppm(os.path.join(seq_dir, f"frame_{t:04d}.ppm"))
-        dense = fileio.read_depth_map(os.path.join(seq_dir, f"frame_{t:04d}.pfm"))
+    for t, pose in enumerate(poses):
+        ppm = os.path.join(seq_dir, f"frame_{t:04d}.ppm")
+        pfm = os.path.join(seq_dir, f"frame_{t:04d}.pfm")
+        image = fileio.read_ppm(ppm)
+        dense = fileio.read_depth_map(pfm)
+        for other, w, h in ((path, K.width, K.height), (pfm, dense.width, dense.height)):
+            if (w, h) != (image.width, image.height):
+                raise ParameterError(
+                    f"{other}: size {w}x{h} differs from {ppm} ({image.width}x{image.height})"
+                )
         frames.append((image, dense, pose))
     return frames, K

@@ -73,31 +73,18 @@ def ce_loss(prob, gt, planes):
     return -(Tensor(label_vol) * logp).sum() / gt.valid_count
 
 
-def total_loss(cfg, parts):
-    """Unweighted sum of the enabled loss terms."""
-    terms = cfg.enabled_terms()
-    missing = [t for t in terms if t not in parts]
-    if missing:
-        raise TrainingError(f"loss components missing: {missing}")
-    out = parts[terms[0]]
-    for name in terms[1:]:
-        out = out + parts[name]
-    return out
-
-
-def frame_loss(result, gt, loss_cfg, planes):
-    """All loss parts for one frame plus their configured total.
+def frame_loss(result, gt, planes):
+    """One frame's loss, L1 plus cross entropy, and both parts.
 
     The L1 term sees the frame's output depth, which is the refined one when
     refinement is on; the cross entropy sees the pre-refinement probability
     volume.
     """
-    depth = result.output
     parts = {
-        "l1": l1_loss(depth, gt),
+        "l1": l1_loss(result.output, gt),
         "ce": ce_loss(result.prob, gt, planes),
     }
-    return total_loss(loss_cfg, parts), parts
+    return parts["l1"] + parts["ce"], parts
 
 
 # -- optimizer ----------------------------------------------------------------------
@@ -192,7 +179,7 @@ def train_sequence(epoch_frames, gt, K, params, opt_state, cfg, epochs=None):
             # the closures of an earlier frame, whose weights the optimizer
             # has already moved.
             state.volume = CostVolume(planes, state.volume.features.detach())
-            loss, parts = frame_loss(result, gt[index], cfg.loss, planes)
+            loss, parts = frame_loss(result, gt[index], planes)
             loss.backward()
             for _, p in params.items():
                 # params a frame never touches (cross attention at frame 1,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from raydepth import autodiff as ad
-from raydepth import bench, harness, metrics, synth, training
+from raydepth import bench, fileio, harness, metrics, synth, training
 from raydepth.autodiff import Tensor
 from raydepth.config import (
     OptimizerConfig,
@@ -52,8 +52,10 @@ class TestConfig:
             pytest.param({"heads": 1}, "'heads'", id="removed-heads"),
             pytest.param({"residual": True}, "'residual'", id="removed-residual"),
             pytest.param({"share_self_attention": False}, "'share_self_attention'", id="removed-share"),
-            pytest.param({"loss": {"spn_l1": True}}, "'loss.spn_l1'", id="removed-spn_l1"),
-            pytest.param({"loss": {"use_l2": True}}, "'loss.use_l2'", id="removed-use_l2"),
+            pytest.param({"loss": {"spn_l1": True, "use_l2": True}}, "'loss'", id="removed-loss"),
+            pytest.param({"eval_range": [1.0, 5.0]}, "'eval_range'", id="removed-eval_range"),
+            pytest.param({"refine_iterations": 2}, "'refine_iterations'", id="removed-refine_iterations"),
+            pytest.param({"refine_channels": 0}, "'refine_channels'", id="removed-refine_channels"),
             pytest.param({"temporal_grad": True}, "'temporal_grad'", id="removed-temporal_grad"),
             pytest.param({"mask_invalid_previous": True}, "'mask_invalid_previous'", id="removed-mask"),
         ],
@@ -77,7 +79,6 @@ class TestConfig:
                 seed=3,
                 sparse_count=None,
                 sparse_fraction=0.01,
-                eval_range=(1.0, 5.0),
                 optimizer=OptimizerConfig(milestones=(3, 5)),
             )
         )
@@ -100,10 +101,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"downscale": 3})
 
-    def test_loss_must_have_a_term(self):
-        with pytest.raises(ConfigError, match="at least one loss term"):
-            config_from_dict({"loss": {"use_l1": False, "use_ce": False}})
-
     @pytest.mark.parametrize(
         "raw,path",
         [
@@ -123,8 +120,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "raw,name",
         [
-            pytest.param({"refine_channels": 0}, "refine_channels", id="refine-channels-zero"),
-            pytest.param({"refine_channels": -1}, "refine_channels", id="refine-channels-negative"),
             pytest.param({"optimizer": {"learning_rate": float("nan")}}, "learning_rate", id="lr-nan"),
             pytest.param({"optimizer": {"learning_rate": float("inf")}}, "learning_rate", id="lr-inf"),
             pytest.param({"optimizer": {"learning_rate": 0}}, "learning_rate", id="lr-zero"),
@@ -216,8 +211,6 @@ def tiny_run_config(seq_dir=None, **kw):
         channels=4,
         image_channels=(1, 1, 1),
         downscale=4,
-        refine_iterations=2,
-        refine_channels=2,
         optimizer=OptimizerConfig(learning_rate=3e-3, weight_decay=1e-4, epochs=2),
         sparse_count=10,
         **kw,
@@ -225,6 +218,16 @@ def tiny_run_config(seq_dir=None, **kw):
     if seq_dir is not None:
         cfg.paths.sequence_dir = str(seq_dir)
     return validate_config(cfg)
+
+
+def edit_text(path, change):
+    path.write_text(change(path.read_text()))
+
+
+def edit_bytes(path, old, new):
+    data = path.read_bytes()
+    assert data.count(old) >= 1
+    path.write_bytes(data.replace(old, new, 1))
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +429,50 @@ class TestCli:
         out = tmp_path / "out"
         assert self._run(command, "--config", str(cfg_path), "--out", str(out)) == 2
         assert "intrinsics.txt: expected 6 values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            pytest.param(lambda s: edit_text(s / "poses.txt", lambda t: "nan" + t[t.index(" "):]),
+                         "poses.txt:1:", id="pose-nan"),
+            pytest.param(lambda s: edit_text(s / "poses.txt", lambda t: "2" + t[t.index(" "):]),
+                         "poses.txt:1:", id="pose-not-orthonormal"),
+            pytest.param(lambda s: (s / "poses.txt").write_text(""), "poses.txt", id="poses-empty"),
+            pytest.param(lambda s: edit_bytes(s / "frame_0000.ppm", b"P6\n16 ", b"P6\nxx "),
+                         "frame_0000.ppm", id="ppm-width-not-a-number"),
+            pytest.param(lambda s: edit_bytes(s / "frame_0000.pfm", b"-1.0\n", b"abc\n"),
+                         "frame_0000.pfm", id="pfm-scale-not-a-number"),
+            pytest.param(lambda s: edit_bytes(s / "frame_0000.pfm", b"-1.0\n", b"0\n"),
+                         "frame_0000.pfm", id="pfm-scale-zero"),
+            pytest.param(lambda s: fileio.write_pfm(s / "frame_0001.pfm", np.full((16, 16), np.inf)),
+                         "frame_0001.pfm", id="pfm-depth-inf"),
+            pytest.param(lambda s: fileio.write_pfm(s / "frame_0000.pfm", np.ones((8, 8))),
+                         "frame_0000.pfm", id="pfm-size"),
+            pytest.param(lambda s: (s / "intrinsics.txt").write_text("14.4 14.4 8 8 32 32\n"),
+                         "intrinsics.txt", id="intrinsics-size"),
+        ],
+    )
+    def test_malformed_sequence_exit_code(self, tmp_path, capsys, command, edit, named):
+        seq = tmp_path / "seq"
+        spec, K = synth.default_scene(1, width=16, height=16, frame_count=2)
+        synth.generate_sequence(spec, K, seq)
+        edit(seq)
+        cfg = tiny_run_config(seq)
+        ck = tmp_path / "ck.bin"
+        training.save_checkpoint(ck, init_parameters(cfg))
+        cfg.paths.checkpoint = str(ck)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, cfg)
+        assert self._run(command, "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 2
+        assert str(seq / named) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_gradcheck_rejects_top_below_one(self, tmp_path, capsys, top):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, tiny_run_config(refinement=False))
+        assert self._run("gradcheck", "--config", str(cfg_path), "--frames", "1", "--top", top) == 2
+        assert "--top" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "infer", "gradcheck"])
     def test_shared_flags(self, command):

@@ -1,12 +1,14 @@
 """Static checks that need only the standard library: every module-level
-import in ``src/raydepth`` is used by its module."""
+import in ``src/raydepth`` and ``scripts`` is used by its module."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "raydepth"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "raydepth"
+SCRIPTS = ROOT / "scripts"
 
 
 def unused_imports(source):
@@ -43,6 +45,6 @@ def test_checker_reports_only_unread_names():
     assert unused_imports(source) == ["os (line 2)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_its_imports(path):
     assert unused_imports(path.read_text()) == []

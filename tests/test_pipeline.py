@@ -21,8 +21,6 @@ def clip():
             channels=4,
             image_channels=(1, 1, 1),
             downscale=4,
-            refine_iterations=2,
-            refine_channels=2,
         )
     )
     spec, K = synth.default_scene(0, width=16, height=16, frame_count=2, step=0.05)

@@ -30,7 +30,7 @@ def read_csv(path):
          ["seed", "fused_mae", "single_view_mae", "relative_improvement"], 1),
         ("sparsity_robustness", ["--seeds", "0", "--epochs", "1"],
          ["eval_fraction", "mae", "ratio_vs_train_sparsity"], 3),
-        ("overfit_single_frame", ["--steps", "2"], ["step", "total_loss"], 2),
+        ("overfit_single_frame", ["--steps", "2"], ["step", "total"], 2),
     ],
 )
 def test_script_writes_its_csv(name, argv, header, rows, monkeypatch, tmp_path):

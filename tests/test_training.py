@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from raydepth import autodiff as ad
 from raydepth import training as tr
 from raydepth.autodiff import Tensor
-from raydepth.config import LossConfig, OptimizerConfig, RunConfig, PlanesConfig
+from raydepth.config import OptimizerConfig, RunConfig, PlanesConfig
 from raydepth.cost_volume import RGBImage, SparseDepthMap
 from raydepth.errors import CheckpointError, EmptySupervisionError, TrainingError
 from raydepth.geometry import make_planes
@@ -116,17 +116,6 @@ class TestLosses:
         entropy = -np.sum(label[label > 0] * np.log(label[label > 0]))
         assert ce >= entropy - 1e-9
 
-    def test_total_loss_sums_enabled_terms(self):
-        parts = {"l1": Tensor(0.25), "ce": Tensor(0.5)}
-        cfg = LossConfig(use_l1=True, use_ce=True)
-        assert tr.total_loss(cfg, parts).item() == 0.75
-        cfg = LossConfig(use_l1=True, use_ce=False)
-        assert tr.total_loss(cfg, parts).item() == 0.25
-
-    def test_total_loss_missing_component(self):
-        with pytest.raises(TrainingError):
-            tr.total_loss(LossConfig(use_l1=True), {"ce": Tensor(1.0)})
-
 
 class TestOptimizer:
     def _single(self, value, lr=1e-3, wd=0.0):
@@ -227,8 +216,6 @@ def tiny_config():
         channels=4,
         image_channels=(1, 1, 1),
         downscale=4,
-        refine_iterations=2,
-        refine_channels=2,
         optimizer=OptimizerConfig(learning_rate=3e-3, weight_decay=1e-4, epochs=2),
     )
 
