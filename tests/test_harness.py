@@ -52,7 +52,8 @@ class TestConfig:
             pytest.param({"heads": 1}, "'heads'", id="removed-heads"),
             pytest.param({"residual": True}, "'residual'", id="removed-residual"),
             pytest.param({"share_self_attention": False}, "'share_self_attention'", id="removed-share"),
-            pytest.param({"loss": {"spn_l1": True, "use_l2": True}}, "'loss'", id="removed-loss"),
+            pytest.param({"loss": {"spn_l1": True}}, "'loss'", id="removed-spn_l1"),
+            pytest.param({"loss": {"use_l2": True}}, "'loss'", id="removed-use_l2"),
             pytest.param({"eval_range": [1.0, 5.0]}, "'eval_range'", id="removed-eval_range"),
             pytest.param({"refine_iterations": 2}, "'refine_iterations'", id="removed-refine_iterations"),
             pytest.param({"refine_channels": 0}, "'refine_channels'", id="removed-refine_channels"),
@@ -120,6 +121,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "raw,name",
         [
+            # refine_channels is no longer a setting: any value is refused as an unknown key.
+            pytest.param({"refine_channels": 0}, "refine_channels", id="refine-channels-zero"),
+            pytest.param({"refine_channels": -1}, "refine_channels", id="refine-channels-negative"),
             pytest.param({"optimizer": {"learning_rate": float("nan")}}, "learning_rate", id="lr-nan"),
             pytest.param({"optimizer": {"learning_rate": float("inf")}}, "learning_rate", id="lr-inf"),
             pytest.param({"optimizer": {"learning_rate": 0}}, "learning_rate", id="lr-zero"),
