@@ -72,9 +72,6 @@ class Tensor:
         """A view of the same values with no graph history."""
         return Tensor(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Accumulate gradients of this scalar into ``grad`` of every tracked
         leaf.
@@ -232,9 +229,9 @@ def tabs(x):
     return _make(np.abs(x.data), (x,), backward)
 
 
-def leaky_relu(x, slope=LEAKY_SLOPE):
+def leaky_relu(x):
     x = as_tensor(x)
-    factor = np.where(x.data > 0, 1.0, slope)
+    factor = np.where(x.data > 0, 1.0, LEAKY_SLOPE)
     def backward(g):
         return (g * factor,)
     return _make(x.data * factor, (x,), backward)
@@ -593,9 +590,6 @@ class ParameterStore:
     def zero_grad(self):
         for _, p in self.items():
             p.grad = None
-
-    def total_entries(self):
-        return sum(p.data.size for _, p in self.items())
 
 
 def uniform_init(rng, shape, fan_in, fan_out):

@@ -39,9 +39,9 @@ class BenchRow:
         return self.peak_bytes is not None
 
 
-def _random_volumes(d, c, h, w, seed):
+def _random_volumes(d, c, h, w):
     planes = make_planes(d, 0.5, 8.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     cur = CostVolume(planes, Tensor(rng.normal(size=(d, c, h, w))))
     prev = CostVolume(planes, Tensor(rng.normal(size=(d, c, h, w))))
     return cur, prev
@@ -57,7 +57,7 @@ def _measure(fn, repeats):
     return fusion.score_meter.peak_bytes, float(np.median(times))
 
 
-def run_benchmark(d_list, h_list, w_list, c, repeats=3, cap=NAIVE_ENTRY_CAP, seed=0):
+def run_benchmark(d_list, h_list, w_list, c, repeats=3):
     """Fuse one frame of random volumes per size, in both modes."""
     if repeats < 1:
         raise ParameterError(f"repeats must be at least 1, got {repeats}")
@@ -68,13 +68,13 @@ def run_benchmark(d_list, h_list, w_list, c, repeats=3, cap=NAIVE_ENTRY_CAP, see
     rows = []
     for d, h, w in itertools.product(d_list, h_list, w_list):
         params = ad.ParameterStore()
-        fusion.add_fusion_params(params, np.random.default_rng(seed), c)
-        cur, prev = _random_volumes(d, c, h, w, seed)
+        fusion.add_fusion_params(params, np.random.default_rng(0), c)
+        cur, prev = _random_volumes(d, c, h, w)
         with ad.no_grad():
             peak, wall = _measure(lambda: fusion.fuse_volumes(cur, prev, params), repeats)
         rows.append(BenchRow("ray", d, h, w, c, fusion.attention_entry_count(d, h, w, "ray"), peak, wall))
         naive_entries = fusion.attention_entry_count(d, h, w, "naive")
-        if naive_entries <= cap:
+        if naive_entries <= NAIVE_ENTRY_CAP:
             with ad.no_grad():
                 peak, wall = _measure(
                     lambda: fusion.fuse_volumes_naive(cur, prev, params), repeats

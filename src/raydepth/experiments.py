@@ -68,7 +68,7 @@ def overfit_run(seed=0, steps=500, sparse_count=30):
     inputs = sparse_inputs(cfg, frames)
     params, trace = training.train_sequence(lambda _: inputs, gt, K, params, state, cfg)
     (mae,) = evaluate_sequence(cfg, params, frames, K)
-    return mae, [row[4] for row in trace.rows]
+    return mae, [row.total for row in trace.rows]
 
 
 def fusion_benefit_run(seed, epochs=40):

@@ -117,9 +117,13 @@ def relative_pose(current, previous):
     return Pose(r, t)
 
 
-def _snap_integers(coords, tol=1e-9):
+# Sample coordinates this close to an integer are snapped onto it.
+_SNAP_TOL = 1e-9
+
+
+def _snap_integers(coords):
     rounded = np.round(coords)
-    return np.where(np.abs(coords - rounded) < tol, rounded, coords)
+    return np.where(np.abs(coords - rounded) < _SNAP_TOL, rounded, coords)
 
 
 def warp_coordinates(shape, cur_to_prev, K, planes):

@@ -4,7 +4,7 @@ range: MAE, RMSE, and their inverse-depth counterparts (1/m)."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,8 @@ class Metrics:
     irmse: float
 
     def as_tuple(self):
-        return (self.mae, self.rmse, self.imae, self.irmse)
+        # perfbench/workloads.py reads metrics through this
+        return astuple(self)
 
 
 def compute_metrics(pred, gt, low, high):
@@ -48,9 +49,9 @@ def write_metrics_csv(path, rows):
     """One row per frame plus a final mean row."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["frame", "mae", "rmse", "imae", "irmse"])
+        writer.writerow(["frame"] + [col.name for col in fields(Metrics)])
         for index, m in rows:
-            writer.writerow([index] + [f"{x:.12g}" for x in m.as_tuple()])
+            writer.writerow([index] + [f"{x:.12g}" for x in astuple(m)])
         if rows:
-            means = np.mean([m.as_tuple() for _, m in rows], axis=0)
+            means = np.mean([astuple(m) for _, m in rows], axis=0)
             writer.writerow(["mean"] + [f"{x:.12g}" for x in means])

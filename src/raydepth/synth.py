@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -21,6 +22,8 @@ _LIGHT = np.array([-0.35, -0.45, -0.82])
 _LIGHT_DIR = _LIGHT / np.linalg.norm(_LIGHT)
 _AMBIENT = 0.3
 _CHECKER_DARK = 0.55
+# generate_sequence rejects a frame where fewer pixels than this hit geometry.
+_MIN_COVERAGE = 0.5
 
 # A 3-vector as scene files give it; each class stores it as a float64 array.
 Vec3 = tuple[float, float, float]
@@ -282,25 +285,26 @@ def default_scene(seed, width=64, height=48, frame_count=8, trajectory="lateral"
     return spec, K
 
 
-def generate_sequence(spec, K, out_dir, min_coverage=0.5):
+def generate_sequence(spec, K, out_dir):
     """Render the whole trajectory into a directory: frame_%04d.{ppm,pfm},
-    poses.txt (one pose per line) and intrinsics.txt (`fx fy cx cy width
-    height`, the one record of K)."""
+    poses.txt (one pose per line) and intrinsics.txt (the CameraIntrinsics
+    fields in declaration order, the one record of K)."""
     os.makedirs(out_dir, exist_ok=True)
     poses = []
     for t in range(spec.trajectory.frame_count):
         image, dense, pose = render_frame(spec, t, K)
         coverage = dense.valid.mean()
-        if coverage < min_coverage:
+        if coverage < _MIN_COVERAGE:
             raise ParameterError(
-                f"frame {t}: only {coverage:.0%} of pixels hit geometry (need {min_coverage:.0%})"
+                f"frame {t}: only {coverage:.0%} of pixels hit geometry (need {_MIN_COVERAGE:.0%})"
             )
         fileio.write_ppm(os.path.join(out_dir, f"frame_{t:04d}.ppm"), image)
         fileio.write_pfm(os.path.join(out_dir, f"frame_{t:04d}.pfm"), dense.depth)
         poses.append(pose)
     save_cameras(os.path.join(out_dir, "poses.txt"), poses)
     with open(os.path.join(out_dir, "intrinsics.txt"), "w") as f:
-        f.write(f"{K.fx:.17g} {K.fy:.17g} {K.cx:.17g} {K.cy:.17g} {K.width} {K.height}\n")
+        # .17g round-trips every float and prints an int as itself
+        f.write(" ".join(f"{v:.17g}" for v in astuple(K)) + "\n")
     return spec.trajectory.frame_count
 
 
@@ -310,10 +314,11 @@ def load_sequence(seq_dir):
     path = os.path.join(seq_dir, "intrinsics.txt")
     with open(path) as f:
         vals = f.read().split()
-    if len(vals) != 6:
-        raise ParameterError(f"{path}: expected 6 values (fx fy cx cy width height), got {len(vals)}")
+    hints = get_type_hints(CameraIntrinsics)
+    if len(vals) != len(hints):
+        raise ParameterError(f"{path}: expected {len(hints)} values ({' '.join(hints)}), got {len(vals)}")
     try:
-        K = CameraIntrinsics(*map(float, vals[:4]), *map(int, vals[4:]))
+        K = CameraIntrinsics(*(hint(v) for hint, v in zip(hints.values(), vals)))
     except ValueError as exc:
         raise ParameterError(f"{path}: {exc}") from exc
     poses_path = os.path.join(seq_dir, "poses.txt")

@@ -1,11 +1,11 @@
 """Losses with soft plane labels, decoupled-weight-decay Adam, the
-per-sequence training loop, and the binary checkpoint format."""
+per-sequence training loop, and numpy ``.npz`` checkpoints."""
 
 from __future__ import annotations
 
 import csv
-import struct
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -16,9 +16,6 @@ from .errors import CheckpointError, DimensionError, EmptySupervisionError, Trai
 from .pipeline import forward_frame, planes_for
 
 CE_EPS = 1e-12
-
-CHECKPOINT_MAGIC = b"RDCP"
-CHECKPOINT_VERSION = 1
 
 
 # -- soft labels ----------------------------------------------------------------
@@ -140,16 +137,25 @@ def optimizer_step(params, state):
 # -- training loop --------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class LossRow:
+    epoch: int
+    frame: int
+    l1: float
+    ce: float
+    total: float
+
+
 @dataclass
 class LossTrace:
-    rows: list = field(default_factory=list)  # (epoch, frame, l1, ce, total)
+    rows: list = field(default_factory=list)  # LossRow per optimizer step
 
     @property
     def epoch_means(self):
         """Mean total loss of each epoch, in epoch order."""
         totals = {}
-        for epoch, _, _, _, total in self.rows:
-            totals.setdefault(epoch, []).append(total)
+        for row in self.rows:
+            totals.setdefault(row.epoch, []).append(row.total)
         return [float(np.mean(v)) for v in totals.values()]
 
 
@@ -187,60 +193,45 @@ def train_sequence(epoch_frames, gt, K, params, opt_state, cfg, epochs=None):
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
             optimizer_step(params, opt_state)
-            trace.rows.append(
-                (epoch, index, parts["l1"].item(), parts["ce"].item(), loss.item())
-            )
+            trace.rows.append(LossRow(epoch, index, parts["l1"].item(), parts["ce"].item(), loss.item()))
     return params, trace
 
 
 def write_loss_trace(path, trace):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["epoch", "frame", "l1", "ce", "total"])
+        writer.writerow([col.name for col in fields(LossRow)])
         for row in trace.rows:
-            writer.writerow([row[0], row[1], f"{row[2]:.12g}", f"{row[3]:.12g}", f"{row[4]:.12g}"])
+            writer.writerow([x if isinstance(x, int) else f"{x:.12g}" for x in astuple(row)])
 
 
 # -- checkpoints -----------------------------------------------------------------------
 
 
 def save_checkpoint(path, params):
-    """Flat binary dump: magic, version, count, then per parameter the path,
-    rank, extents, and little-endian float64 data."""
+    """A numpy ``.npz`` archive: one float64 array per parameter path."""
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
-        for name, p in params.items():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", p.data.ndim))
-            f.write(struct.pack(f"<{p.data.ndim}Q", *p.data.shape))
-            f.write(p.data.astype("<f8").tobytes())
+        np.savez(f, allow_pickle=False, **{name: np.asarray(p.data, np.float64) for name, p in params.items()})
 
 
 def load_checkpoint(path):
-    def read(f, n, what):
-        buf = f.read(n)
-        if len(buf) != n:
-            raise CheckpointError(f"{path}: truncated while reading {what}")
-        return buf
-
+    """Read a ``save_checkpoint`` archive.  Any other file, a member that is
+    not float64, or a non-finite entry is a CheckpointError naming ``path``."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path} is not a checkpoint archive; re-run train to write one") from exc
     params = ParameterStore()
-    with open(path, "rb") as f:
-        if read(f, 4, "magic") != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path} is not a checkpoint file")
-        version, count = struct.unpack("<II", read(f, 8, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", read(f, 4, "name length"))
-            name = read(f, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", read(f, 4, "rank"))
-            shape = struct.unpack(f"<{rank}Q", read(f, 8 * rank, "extents"))
-            n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(read(f, 8 * n, f"data of {name}"), dtype="<f8")
-            params.add(name, data.reshape(shape))
+    for name, data in arrays.items():
+        if data.dtype != np.float64:
+            raise CheckpointError(f"{path}: parameter {name!r} is {data.dtype}, not float64")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: parameter {name!r} has non-finite entries")
+        params.add(name, data)
     return params
 
 

@@ -155,12 +155,12 @@ class TestMetrics:
     def test_exact_prediction_all_zero(self):
         gt = gt_map([[1.0, 2.0]], [[True, True]])
         m = metrics.compute_metrics(depth_map([[1.0, 2.0]]), gt, 0.1, 10.0)
-        assert m.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert dataclasses.astuple(m) == (0.0, 0.0, 0.0, 0.0)
 
     def test_single_pixel_formula_oracle(self):
         gt = gt_map([[1.0]], [[True]])
         m = metrics.compute_metrics(depth_map([[2.0]]), gt, 0.1, 10.0)
-        np.testing.assert_allclose(m.as_tuple(), (1.0, 1.0, 0.5, 0.5))
+        np.testing.assert_allclose(dataclasses.astuple(m), (1.0, 1.0, 0.5, 0.5))
 
     def test_two_pixel_formula_oracle(self):
         gt = gt_map([[1.0, 1.0]], [[True, True]])
@@ -203,10 +203,11 @@ class TestBench:
         assert header == "mode,D,H,W,C,entries,peak_bytes,wall_ms"
 
     def test_cap_produces_analytic_only_row(self):
-        rows = bench.run_benchmark([8], [8], [8], c=4, repeats=1, cap=10)
+        # D=16, H=W=32 gives 16^2 * 32^4 naive entries, above NAIVE_ENTRY_CAP
+        rows = bench.run_benchmark([16], [32], [32], c=4, repeats=1)
         naive = next(r for r in rows if r.mode == "naive")
         assert not naive.executed
-        assert naive.entries == 8 * 8 * (8 * 8 * 8 * 8)
+        assert naive.entries == 16 * 16 * (32 * 32 * 32 * 32)
 
 
 def tiny_run_config(seq_dir=None, **kw):
@@ -504,6 +505,22 @@ class TestCli:
         ck = tmp_path / "ck.bin"
         training.save_checkpoint(ck, stray)
         assert self._run("infer", "--config", str(cfg_path), "--checkpoint", str(ck)) == 1
+
+    def test_infer_names_non_finite_checkpoint_entry(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        spec, K = synth.default_scene(1, width=16, height=16, frame_count=1)
+        synth.generate_sequence(spec, K, seq)
+        cfg = tiny_run_config(seq)
+        params = init_parameters(cfg)
+        params["head.prob.bias"].data[0] = np.nan
+        ck = tmp_path / "ck.bin"
+        training.save_checkpoint(ck, params)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg_path, cfg)
+        out = tmp_path / "out"
+        assert self._run("infer", "--config", str(cfg_path), "--checkpoint", str(ck), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert str(ck) in err and "'head.prob.bias'" in err
 
     def test_console_script_entrypoint(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,5 +1,5 @@
 """Static checks that need only the standard library: every module-level
-import in ``src/raydepth`` and ``scripts`` is used by its module."""
+import in ``src/raydepth``, ``scripts`` and ``tests`` is used by its module."""
 
 import ast
 import pathlib
@@ -9,6 +9,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "raydepth"
 SCRIPTS = ROOT / "scripts"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source):
@@ -45,6 +46,8 @@ def test_checker_reports_only_unread_names():
     assert unused_imports(source) == ["os (line 2)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [p for d in (SRC, SCRIPTS, TESTS) for p in sorted(d.glob("*.py"))], ids=lambda p: p.name
+)
 def test_module_reads_its_imports(path):
     assert unused_imports(path.read_text()) == []
