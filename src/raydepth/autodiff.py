@@ -15,9 +15,11 @@ graph always yields the same gradients.  Only leaves keep them.
 from __future__ import annotations
 
 import contextlib
+import functools
 import heapq
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,7 +288,7 @@ def reshape(x, shape):
 
 def transpose(x, axes):
     x = as_tensor(x)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     def backward(g):
         return (np.transpose(g, inverse),)
     return _make(np.transpose(x.data, axes), (x,), backward)
@@ -393,56 +395,103 @@ def weighted_gather(x, indices, weights):
 # -- convolutions ------------------------------------------------------------
 
 
-def _columns(x, k, strides):
-    """The k GEMM operands of a zero-padded (k-1)/2, strided correlation of a
-    (C, *spatial) array, one per leading-axis kernel offset, and the output
-    extents.  im2col covers the trailing axes of each padded leading-axis
-    plane, stored phase by phase (plane ``q*s0 + r`` at ``[r, q]``), so the
-    planes ``o, o + s0, ...`` of offset ``o`` are contiguous: a view at any stride."""
-    c, spatial = x.shape[0], x.shape[1:]
-    p = k // 2
-    out_spatial = tuple((n - 1) // s + 1 for n, s in zip(spatial, strides))
-    s0, n0, trail_out = strides[0], out_spatial[0], out_spatial[1:]
-    # plane positions per phase: enough for every offset's read and the input
-    q = max((k - 1) // s0 + n0, -(-(spatial[0] + 2 * p) // s0))
-    xp = np.zeros((c, s0 * q) + tuple(n + 2 * p for n in spatial[1:]))
-    xp[(slice(None),) + tuple(slice(p, p + n) for n in spatial)] = x
-    xq = xp.reshape((c, q, s0) + xp.shape[2:]).swapaxes(1, 2)
-    per_axis = [[slice(o, o + s * (n - 1) + 1, s) for o in range(k)] for s, n in zip(strides[1:], trail_out)]
-    taps = list(itertools.product(*per_axis))
-    cols = np.empty((c, len(taps), s0, q) + trail_out)
-    for t, tap in enumerate(taps):
-        cols[:, t] = xq[(slice(None),) * 3 + tap]
-    cols = cols.reshape(-1, s0, q, math.prod(trail_out))
-    return [cols[:, o % s0, o // s0 : o // s0 + n0].reshape(len(cols), -1) for o in range(k)], out_spatial
+class _Plan(NamedTuple):
+    """Column layout of one correlation shape: ints, slices and tuples only."""
+
+    padded: tuple  # shape of the zero-padded input
+    interior: tuple  # where the input goes in it
+    source: tuple  # the part of the input kept (a negative pad crops)
+    view_shape: tuple  # (C, *trailing taps, s0, q, *trailing outputs)
+    view_strides: tuple  # byte strides of that view of the padded input
+    columns: tuple  # (C * trailing taps, s0, q, trailing outputs)
+    offsets: tuple  # (phase, plane range) read by each leading-axis kernel offset
+    out: tuple  # output extents
+    phases: tuple  # adjoint, per input phase: (slices, flipped-kernel taps, extents, lo, hi)
 
 
-def _correlate(x, kernel, bias, strides):
+def _axis_phases(n, k, s, lo, n_out):
+    """Input phase ``r`` of a stride-``s`` axis receives only the taps
+    ``t = r + lo (mod s)``: a stride-1 correlation of the output-resolution
+    gradient with that flipped sub-kernel.  A phase with no taps stays zero."""
+    for r in range(min(s, n)):
+        tau, c = (r + lo) % s, (r + lo) // s
+        taps = len(range(tau, k, s))
+        if taps:
+            # gx[r + s*m] = sum over u < taps of w[tau + s*u] g[m + c - u]; in
+            # the flipped kernel those taps sit at first, first + s, ..., k-1-tau
+            first = k - 1 - tau - s * (taps - 1)
+            yield slice(r, None, s), slice(first, k, s), taps, taps - 1 - c, len(range(r, n, s)) + c - n_out
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(shape, extents, strides, lo, hi):
+    """Layout of the correlation of a (C, *spatial) array with a kernel of
+    spatial ``extents`` at ``strides``, zero padded ``lo`` before and ``hi``
+    after each axis, and its input gradient's stride phases."""
+    c, spatial = shape[0], shape[1:]
+    out = tuple((n + a + b - k) // s + 1 for n, k, s, a, b in zip(spatial, extents, strides, lo, hi))
+    k0, s0, n0 = extents[0], strides[0], out[0]
+    q = (k0 - 1) // s0 + n0
+    padded = (c, max(s0 * q, spatial[0] + lo[0] + hi[0])) + tuple(map(sum, zip(spatial[1:], lo[1:], hi[1:])))
+    kept = [n - max(-a, 0) - max(-b, 0) for n, a, b in zip(spatial, lo, hi)]
+    interior = (slice(None),) + tuple(slice(max(a, 0), max(a, 0) + m) for a, m in zip(lo, kept))
+    source = (slice(None),) + tuple(slice(max(-a, 0), max(-a, 0) + m) for a, m in zip(lo, kept))
+    step = [8 * math.prod(padded[i + 1 :]) for i in range(len(padded))]
+    view_strides = (step[0], *step[2:], step[1], s0 * step[1]) + tuple(map(math.prod, zip(strides[1:], step[2:])))
+    phases = []
+    for axes in itertools.product(*map(_axis_phases, spatial, extents, strides, lo, out)):
+        into, taps, sub, a, b = zip(*axes)
+        phases.append(((slice(None),) + into, (slice(None),) * 2 + taps, sub, a, b))
+    return _Plan(
+        padded, interior, source, (c, *extents[1:], s0, q, *out[1:]), view_strides,
+        (c * math.prod(extents[1:]), s0, q, math.prod(out[1:])),
+        tuple((o % s0, slice(o // s0, o // s0 + n0)) for o in range(k0)), out, tuple(phases),
+    )
+
+
+def _columns(x, plan):
+    """The GEMM operands of ``plan``'s correlation of ``x``, one per
+    leading-axis kernel offset.  im2col covers the trailing axes of each
+    padded leading-axis plane, stored phase by phase (plane ``q*s0 + r`` at
+    ``[r, q]``), so the planes ``o, o + s0, ...`` of offset ``o`` are
+    contiguous: a view at any stride.  The whole matrix is one copy of one
+    strided view of the padded input."""
+    xp = np.zeros(plan.padded)
+    xp[plan.interior] = x[plan.source]
+    cols = np.ndarray(plan.view_shape, np.float64, xp, 0, plan.view_strides).copy().reshape(plan.columns)
+    return [cols[:, r, planes].reshape(len(cols), -1) for r, planes in plan.offsets]
+
+
+def _correlate(x, kernel, bias, plan):
     """``bias + sum_o W[:, :, o] @ operand(o)`` over the leading-axis kernel
-    offsets ``o``: the correlation of :func:`_columns`, one product buffer."""
-    cout, k, nd = kernel.shape[0], kernel.shape[2], x.ndim - 1
-    operands, out_spatial = _columns(x, k, strides)
-    # w[o] is the (Cout, Cin*k^(nd-1)) kernel matrix of leading offset o
-    w = kernel.transpose((2, 0, 1) + tuple(range(3, 2 + nd))).reshape(k, cout, -1)
+    offsets ``o``: the correlation of :func:`_columns`, one product buffer.
+    ``bias`` None adds nothing."""
+    operands = _columns(x, plan)
+    cout = kernel.shape[0]
+    # w[o] is the (Cout, Cin*taps) kernel matrix of leading offset o
+    w = kernel.transpose((2, 0, 1) + tuple(range(3, kernel.ndim))).reshape(len(operands), cout, -1)
     out = w[0] @ operands[0]
-    out += bias[:, None]
+    if bias is not None:
+        out += bias[:, None]
     wx = np.empty_like(out)
-    for o in range(1, k):
+    for o in range(1, len(operands)):
         out += np.matmul(w[o], operands[o], out=wx)
-    return out.reshape((cout,) + out_spatial)
+    return out.reshape((cout,) + plan.out)
 
 
 def _conv(x, kernel, bias, stride, name):
     """N-d cross-correlation of a (Cin, *spatial) Tensor, zero padding
-    (k-1)/2, per-axis stride.  Backward takes the kernel gradient
-    ``g @ operand(o).T`` over rebuilt input columns.  The input gradient is
-    the stride-1 correlation of ``g``, zero-inserted at the stride positions,
-    with the flipped, channel-transposed kernel (Dumoulin & Visin,
-    arXiv:1603.07285): padded (k-1)/2 on both sides, that is the exact
-    adjoint.  An untracked ``x`` gets no gradient.
+    (k-1)/2, per-axis stride, through the layout :func:`_plan` caches per
+    shape.  Backward takes the kernel gradient ``(operand(o) @ g.T).T`` over
+    rebuilt input columns.  The input gradient is the exact adjoint as one
+    stride-1 correlation of the output-resolution ``g`` per input phase, with
+    that phase's flipped, channel-transposed sub-kernel (the sub-pixel
+    decomposition: Shi et al., arXiv:1609.07009; Dumoulin & Visin,
+    arXiv:1603.07285), so no zeros are multiplied; stride 1 has one phase.
+    An untracked ``x`` gets no gradient.
     """
     nd = x.data.ndim - 1
-    cin, spatial = x.data.shape[0], x.data.shape[1:]
+    cin = x.data.shape[0]
     if kernel.data.ndim != 2 + nd:
         raise DimensionError(f"{name} kernel must have rank {2 + nd}")
     cout, k = kernel.data.shape[0], kernel.data.shape[2]
@@ -457,18 +506,20 @@ def _conv(x, kernel, bias, stride, name):
     if bias.data.shape != (cout,):
         raise DimensionError(f"{name} bias must be ({cout},), got {bias.shape}")
     strides = (stride,) * nd if isinstance(stride, int) else tuple(stride)
-    out = _correlate(x.data, kernel.data, bias.data, strides)
+    pad = (k // 2,) * nd
+    plan = _plan(x.data.shape, kernel.data.shape[2:], strides, pad, pad)
+    out = _correlate(x.data, kernel.data, bias.data, plan)
 
     def backward(g):
         gm = g.reshape(cout, -1)
         # the rebuilt input columns are freed before gx's columns are built
-        gk = np.stack([(gm @ a.T).reshape(cout, cin, -1) for a in _columns(x.data, k, strides)[0]], 2)
+        gk = np.stack([(a @ gm.T).T.reshape(cout, cin, -1) for a in _columns(x.data, plan)], 2)
         gx = None
         if x.requires_grad:
-            gz = np.zeros((cout,) + spatial)
-            gz[(slice(None),) + tuple(slice(None, None, s) for s in strides)] = g
             flipped = np.flip(kernel.data, tuple(range(2, 2 + nd))).swapaxes(0, 1)
-            gx = _correlate(gz, flipped, np.zeros(cin), (1,) * nd)
+            gx = np.zeros(x.data.shape)
+            for into, taps, extents, lo, hi in plan.phases:
+                gx[into] = _correlate(g, flipped[taps], None, _plan(g.shape, extents, (1,) * nd, lo, hi))
         return gx, gk.reshape(kernel.data.shape), gm.sum(axis=1)
 
     return _make(out, (x, kernel, bias), backward)

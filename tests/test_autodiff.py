@@ -1,6 +1,7 @@
 """Tensor engine tests: forward values against hand oracles, every backward
 against central finite differences, and graph-order determinism."""
 
+import math
 import tracemalloc
 import zlib
 
@@ -37,6 +38,24 @@ def direct_correlation(x, kernel, bias, stride):
             window = tuple(slice(r[i], r[i] + k) for r, i in zip(starts, idx))
             out[(o,) + idx] = (xp[(slice(None),) + window] * kernel[o]).sum() + bias[o]
     return out
+
+
+def adjoint_oracle(shape, kernel, stride, g):
+    """``A^T g``, with the convolution's matrix ``A`` built column by column
+    from the direct-correlation oracle."""
+    zero_bias = np.zeros(kernel.shape[0])
+    a = np.stack(
+        [direct_correlation(e.reshape(shape), kernel, zero_bias, stride).ravel() for e in np.eye(math.prod(shape))],
+        axis=1,
+    )
+    return (a.T @ g.ravel()).reshape(shape)
+
+
+def plan_leaves(node):
+    """Types of the non-tuple values nested in a convolution plan."""
+    if isinstance(node, tuple):
+        return set().union(*map(plan_leaves, node))
+    return {type(node)}
 
 
 def cotangent_fd_check(op, arrays, seed, **kwargs):
@@ -298,18 +317,49 @@ class TestConvAdjoint:
         """``x.grad == A^T g`` entry by entry, with the convolution's matrix
         ``A`` built column by column from the direct-correlation oracle."""
         rng = np.random.default_rng(sum(shape) + 20 * k)
-        nd, zero_bias = len(shape) - 1, np.zeros(2)
+        nd = len(shape) - 1
         x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
         kernel = rng.normal(size=(2, shape[0]) + (k,) * nd)
-        y = op(x, ad.Tensor(kernel), ad.Tensor(zero_bias), stride=stride)
+        y = op(x, ad.Tensor(kernel), ad.Tensor(np.zeros(2)), stride=stride)
         g = rng.normal(size=y.shape)
         (y * g).sum().backward()
-        a = np.stack(
-            [direct_correlation(e.reshape(shape), kernel, zero_bias, stride).ravel() for e in np.eye(x.size)],
-            axis=1,
-        )
-        expected = (a.T @ g.ravel()).reshape(shape)
-        np.testing.assert_allclose(x.grad, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(x.grad, adjoint_oracle(shape, kernel, stride, g), rtol=1e-12, atol=0)
+
+    def test_plan_cache_keys(self):
+        """One input shape per op, with kernel extents and strides alternating
+        over two rounds, so the second round reads every layout back from the
+        plan cache between calls of other layouts on the same shape."""
+        cases = [
+            (op, shape, k, stride)
+            for op, shape, strides in [
+                # stride 3 gives phases whose correlation crops g (a negative pad)
+                (ad.conv3d, (2, 3, 4, 5), [1, 2, (1, 2, 2), (2, 1, 2), 3]),
+                (ad.conv2d, (2, 5, 6), [1, 2, (1, 2), (2, 1), 3]),
+            ]
+            for stride in strides
+            for k in [1, 3, 5]
+        ]
+        rng = np.random.default_rng(31)
+        oracles = []
+        for op, shape, k, stride in cases:
+            x, kernel = rng.normal(size=shape), rng.normal(size=(2, shape[0]) + (k,) * (len(shape) - 1))
+            y = direct_correlation(x, kernel, np.zeros(2), stride)
+            g = rng.normal(size=y.shape)
+            oracles.append((x, kernel, y, g, adjoint_oracle(shape, kernel, stride, g)))
+        for i in [*range(len(cases)), *reversed(range(len(cases)))]:
+            (op, shape, k, stride), (x, kernel, expected_y, g, expected_gx) = cases[i], oracles[i]
+            xt = ad.Tensor(x, requires_grad=True)
+            y = op(xt, ad.Tensor(kernel), ad.Tensor(np.zeros(2)), stride=stride)
+            np.testing.assert_allclose(y.data, expected_y, rtol=1e-12, atol=1e-12)
+            (y * g).sum().backward()
+            np.testing.assert_allclose(xt.grad, expected_gx, rtol=1e-12, atol=0)
+            nd = len(shape) - 1
+            strides = (stride,) * nd if isinstance(stride, int) else stride
+            plan = ad._plan(shape, (k,) * nd, strides, (k // 2,) * nd, (k // 2,) * nd)
+            assert plan_leaves(plan) <= {int, slice}
+        info = ad._plan.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert info.hits > 0
 
     @pytest.mark.parametrize("op,shape,stride", [(ad.conv2d, (3, 6, 5), 2), (ad.conv3d, (2, 3, 5, 7), (1, 2, 2))])
     def test_untracked_input_gets_no_gradient(self, op, shape, stride):
@@ -358,6 +408,17 @@ class TestConvMemory:
         g = np.random.default_rng(12).normal(size=y.shape)
         backward_fn = y.op[1]
         assert self._traced_peak(lambda: backward_fn(g)) < 22
+
+    def test_strided_backward_peak(self):
+        """16->32 at stride (1, 2, 2): one stride-1 correlation of ``g`` per
+        input phase, at ``g``'s resolution, with no zero-inserted copy."""
+        rng = np.random.default_rng(13)
+        kernel = ad.Tensor(rng.normal(size=(32, 16, 3, 3, 3)), requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=32), requires_grad=True)
+        y = ad.conv3d(self.x, kernel, bias, stride=(1, 2, 2))
+        g = rng.normal(size=y.shape)
+        backward_fn = y.op[1]
+        assert self._traced_peak(lambda: backward_fn(g)) < 6
 
 
 class TestElementwiseAndShape:
