@@ -365,9 +365,9 @@ def softmax_lastdim(x):
         raise ParameterError("softmax needs at least one entry on the last axis")
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = np.subtract(x.data, x.data.max(axis=-1, keepdims=True))
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         return ((g - dot) * y,)

@@ -131,73 +131,94 @@ def camera_pose(spec, frame_index):
 
 
 def _intersect_box(origin, dirs, box):
+    """Slab test for (3, n) ray directions: (hit, t, normals), where
+    ``normals(idx, points)`` gives the camera-facing normal of the face each
+    ray in ``idx`` hits: the entry face, or the exit face for a ray that
+    starts inside the box."""
     lo, hi = box.bounds()
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo[None, :] - origin[None, :]) / dirs
-        t2 = (hi[None, :] - origin[None, :]) / dirs
+        t1 = (lo - origin)[:, None] / dirs
+        t2 = (hi - origin)[:, None] / dirs
     tmin = np.minimum(t1, t2)
     tmax = np.maximum(t1, t2)
-    near_axis = np.argmax(tmin, axis=1)
-    tnear = np.max(tmin, axis=1)
-    tfar = np.min(tmax, axis=1)
-    t = np.where(tnear > _EPS, tnear, tfar)
+    tnear = np.maximum(np.maximum(tmin[0], tmin[1]), tmin[2])
+    tfar = np.minimum(np.minimum(tmax[0], tmax[1]), tmax[2])
+    entry = tnear > _EPS
+    t = np.where(entry, tnear, tfar)
     hit = (tfar >= tnear) & (t > _EPS)
-    rows = np.arange(dirs.shape[0])
-    normal = np.zeros_like(dirs)
-    normal[rows, near_axis] = -np.sign(dirs[rows, near_axis])
-    return hit, t, normal
+
+    def normals(idx, points):
+        # the first axis whose slab bound is t: np.argmax's tie rule for tmin
+        # at an entry hit, np.argmin's for tmax at an exit hit
+        ti = t[idx]
+        bound = np.where(entry[idx], np.take(tmin, idx, axis=1), np.take(tmax, idx, axis=1))
+        axis = np.where(bound[0] == ti, 0, np.where(bound[1] == ti, 1, 2))
+        out = np.zeros((3, idx.size))
+        cols = np.arange(idx.size)
+        out[axis, cols] = -np.sign(dirs[axis, idx])
+        return out
+
+    return hit, t, normals
 
 
 def _intersect_sphere(origin, dirs, sphere):
-    oc = origin[None, :] - sphere.center[None, :]
-    a = np.sum(dirs * dirs, axis=1)
-    b = 2.0 * np.sum(dirs * oc, axis=1)
+    """Ray-sphere quadratic for (3, n) ray directions: (hit, t, normals),
+    where ``normals(idx, points)`` is outward at a near-root hit and inward
+    at a far-root hit, which only a ray starting inside the sphere makes."""
+    oc = origin - sphere.center
+    a = dirs[0] * dirs[0] + dirs[1] * dirs[1] + dirs[2] * dirs[2]
+    b = 2.0 * (dirs[0] * oc[0] + dirs[1] * oc[1] + dirs[2] * oc[2])
     c = np.sum(oc * oc) - sphere.radius**2
     disc = b * b - 4.0 * a * c
     safe = np.sqrt(np.maximum(disc, 0.0))
     t_near = (-b - safe) / (2.0 * a)
     t_far = (-b + safe) / (2.0 * a)
-    t = np.where(t_near > _EPS, t_near, t_far)
+    entry = t_near > _EPS
+    t = np.where(entry, t_near, t_far)
     hit = (disc >= 0) & (t > _EPS)
-    point = origin[None, :] + t[:, None] * dirs
-    normal = (point - sphere.center[None, :]) / sphere.radius
-    return hit, t, normal
+
+    def normals(idx, points):
+        return (points - sphere.center[:, None]) / sphere.radius * np.where(entry[idx], 1.0, -1.0)
+
+    return hit, t, normals
 
 
 def _shade(prim, points, normals):
-    parity = np.floor(points / prim.checker_scale).sum(axis=1)
+    """Checker texture times Lambert shading at (3, m) points and normals."""
+    parity = np.floor(points / prim.checker_scale).sum(axis=0)
     checker = np.where(np.mod(parity, 2.0) < 1.0, 1.0, _CHECKER_DARK)
-    lambert = np.maximum(0.0, normals @ _LIGHT_DIR)
+    # A row-major (m, 3) matrix-vector product: BLAS rounds each pixel's dot
+    # product the same way whichever pixels are in the batch.
+    lambert = np.maximum(0.0, np.ascontiguousarray(normals.T) @ _LIGHT_DIR)
     brightness = _AMBIENT + (1.0 - _AMBIENT) * lambert
-    return np.clip(prim.color[None, :] * (checker * brightness)[:, None], 0.0, 1.0)
+    return np.clip(prim.color[:, None] * (checker * brightness), 0.0, 1.0)
 
 
 def render_frame(spec, frame_index, K):
     """Ray-cast one frame: nearest closed-form hit per pixel gives the exact
-    camera-space depth; color is checker texture times Lambert shading."""
+    camera-space depth; color is checker texture times Lambert shading.
+    Each primitive shades only the pixels where it is the nearest hit so far."""
     pose = camera_pose(spec, frame_index)
     u, v = np.meshgrid(np.arange(K.width), np.arange(K.height))
-    dirs = backproject(u.reshape(-1), v.reshape(-1), 1.0, K) @ pose.rotation.T
+    # (3, n): one contiguous row per direction component
+    dirs = np.ascontiguousarray((backproject(u.reshape(-1), v.reshape(-1), 1.0, K) @ pose.rotation.T).T)
     origin = pose.translation
-    n = dirs.shape[0]
+    n = dirs.shape[1]
     best_t = np.full(n, np.inf)
-    color = np.zeros((n, 3))
+    color = np.zeros((3, n))
     for prim in spec.primitives:
-        if isinstance(prim, Box):
-            hit, t, normal = _intersect_box(origin, dirs, prim)
-        else:
-            hit, t, normal = _intersect_sphere(origin, dirs, prim)
-        closer = hit & (t < best_t)
-        if not closer.any():
+        intersect = _intersect_box if isinstance(prim, Box) else _intersect_sphere
+        hit, t, normals = intersect(origin, dirs, prim)
+        idx = np.flatnonzero(hit & (t < best_t))
+        if idx.size == 0:
             continue
-        t_safe = np.where(closer, t, 1.0)
-        points = origin[None, :] + t_safe[:, None] * dirs
-        shaded = _shade(prim, points, normal)
-        best_t[closer] = t[closer]
-        color[closer] = shaded[closer]
+        t = t[idx]
+        points = origin[:, None] + t * np.take(dirs, idx, axis=1)
+        best_t[idx] = t
+        color[:, idx] = _shade(prim, points, normals(idx, points))
     valid = np.isfinite(best_t)
     depth = np.where(valid, best_t, 0.0).reshape(K.height, K.width)
-    image = RGBImage(K.width, K.height, color.reshape(K.height, K.width, 3).transpose(2, 0, 1))
+    image = RGBImage(K.width, K.height, color.reshape(3, K.height, K.width))
     dense = SparseDepthMap(K.width, K.height, depth, valid.reshape(K.height, K.width))
     return image, dense, pose
 

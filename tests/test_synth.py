@@ -3,6 +3,7 @@ reprojection consistency between frames, and sparse sampling."""
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,72 @@ from raydepth.errors import ConfigError, ParameterError
 from raydepth.geometry import CameraIntrinsics, backproject, project, relative_pose
 
 K = CameraIntrinsics(fx=40.0, fy=40.0, cx=16.0, cy=12.0, width=32, height=24)
+
+
+LIGHT = np.array([-0.35, -0.45, -0.82]) / np.linalg.norm([-0.35, -0.45, -0.82])
+
+
+def single_primitive_scene(prim):
+    return synth.SceneSpec(
+        seed=0,
+        primitives=[prim],
+        room_bounds=([-6.0, -6.0, -6.0], [6.0, 6.0, 6.0]),
+        trajectory=synth.Trajectory("lateral", 1, 0.0),
+    )
+
+
+def oracle_hit(prim, o, d):
+    """First intersection past 1e-9 along o + t d, one ray at a time, and the
+    camera-facing unit normal of the surface there; None on a miss."""
+    if isinstance(prim, synth.Box):
+        lo, hi = prim.bounds()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (lo - o) / d
+            t2 = (hi - o) / d
+        tn = np.minimum(t1, t2).max()
+        tf = np.maximum(t1, t2).min()
+        if not tf >= tn:
+            return None
+        t = tn if tn > 1e-9 else tf
+        if not t > 1e-9:
+            return None
+        p = o + t * d
+        normal = np.zeros(3)
+        normal[np.argmin(np.minimum(np.abs(p - lo), np.abs(p - hi)))] = 1.0
+    else:
+        oc = o - prim.center
+        a = d @ d
+        b = 2 * oc @ d
+        c = oc @ oc - prim.radius**2
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return None
+        roots = [r for r in ((-b - np.sqrt(disc)) / (2 * a), (-b + np.sqrt(disc)) / (2 * a)) if r > 1e-9]
+        if not roots:
+            return None
+        t = roots[0]
+        normal = (o + t * d - prim.center) / prim.radius
+    return t, (-normal if normal @ d > 0 else normal)
+
+
+def oracle_frame(spec, frame, K):
+    """Per-pixel loop: nearest hit depth, validity and checker x Lambert color."""
+    pose = synth.camera_pose(spec, frame)
+    depth = np.zeros((K.height, K.width))
+    color = np.zeros((3, K.height, K.width))
+    for h in range(K.height):
+        for w in range(K.width):
+            d = pose.rotation @ np.array([(w - K.cx) / K.fx, (h - K.cy) / K.fy, 1.0])
+            hits = [(hit, prim) for prim in spec.primitives if (hit := oracle_hit(prim, pose.translation, d))]
+            if not hits:
+                continue
+            (t, normal), prim = min(hits, key=lambda item: item[0][0])
+            parity = np.floor((pose.translation + t * d) / prim.checker_scale).sum()
+            checker = 1.0 if parity % 2 == 0 else 0.55
+            brightness = 0.3 + 0.7 * max(0.0, normal @ LIGHT)
+            depth[h, w] = t
+            color[:, h, w] = np.clip(prim.color * checker * brightness, 0.0, 1.0)
+    return depth, depth > 0, color
 
 
 def wall_scene(z0=3.0, frame_count=3, kind="lateral", step=0.05):
@@ -51,41 +118,53 @@ class TestRenderFrame:
         np.testing.assert_allclose(dense.depth[12, 16], z0 - r, atol=1e-12)
 
     def test_depth_matches_independent_intersection_oracle(self):
-        rng = np.random.default_rng(0)
-        spec, kc = synth.default_scene(3, width=16, height=12, frame_count=1)
-        _, dense, pose = synth.render_frame(spec, 0, kc)
-        for _ in range(40):
-            h = int(rng.integers(0, 12))
-            w = int(rng.integers(0, 16))
-            d_cam = np.array([(w - kc.cx) / kc.fx, (h - kc.cy) / kc.fy, 1.0])
-            d_world = pose.rotation @ d_cam
-            o = pose.translation
-            best = np.inf
-            for prim in spec.primitives:
-                if isinstance(prim, synth.Box):
-                    lo, hi = prim.bounds()
-                    with np.errstate(divide="ignore"):
-                        t1 = (lo - o) / d_world
-                        t2 = (hi - o) / d_world
-                    tn = np.minimum(t1, t2).max()
-                    tf = np.maximum(t1, t2).min()
-                    if tf >= tn > 1e-9:
-                        best = min(best, tn)
-                else:
-                    oc = o - prim.center
-                    a = d_world @ d_world
-                    b = 2 * oc @ d_world
-                    c = oc @ oc - prim.radius**2
-                    disc = b * b - 4 * a * c
-                    if disc >= 0:
-                        t = (-b - np.sqrt(disc)) / (2 * a)
-                        if t > 1e-9:
-                            best = min(best, t)
-            if np.isfinite(best):
-                assert dense.valid[h, w]
-                np.testing.assert_allclose(dense.depth[h, w], best, atol=1e-9)
-            else:
-                assert not dense.valid[h, w]
+        # every pixel of the third frame on each trajectory
+        for kind in ("lateral", "dolly", "orbit"):
+            spec, kc = synth.default_scene(3, width=16, height=12, frame_count=3, trajectory=kind)
+            _, dense, _ = synth.render_frame(spec, 2, kc)
+            depth, valid, _ = oracle_frame(spec, 2, kc)
+            np.testing.assert_array_equal(dense.valid, valid)
+            np.testing.assert_allclose(dense.depth, depth, rtol=0, atol=1e-9)
+
+    def test_color_matches_independent_shading_oracle(self):
+        for kind in ("lateral", "dolly", "orbit"):
+            spec, kc = synth.default_scene(3, width=16, height=12, frame_count=3, trajectory=kind)
+            img, _, _ = synth.render_frame(spec, 2, kc)
+            _, _, color = oracle_frame(spec, 2, kc)
+            np.testing.assert_allclose(img.channels, color, rtol=0, atol=1e-12)
+
+    def test_hit_from_inside_shades_camera_facing_face(self):
+        # camera at the origin inside each primitive; checker_scale 100 keeps
+        # every hit on a light square, so the color is 0.8 * brightness
+        k8 = CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=3.0, width=8, height=6)
+        box = synth.Box([0.0, 0.0, 2.0], [1.0, 3.0, 3.0], checker_scale=100.0)
+        sphere = synth.Sphere([0.0, 0.0, 0.5], 2.0, checker_scale=100.0)
+        # pixel (3, 7) leaves the box through x = 1; pixel (3, 4) meets the
+        # sphere's far root on the optical axis
+        for prim, (h, w), normal in [(box, (3, 7), [-1.0, 0.0, 0.0]), (sphere, (3, 4), [0.0, 0.0, -1.0])]:
+            spec = single_primitive_scene(prim)
+            img, dense, _ = synth.render_frame(spec, 0, k8)
+            expected = 0.8 * (0.3 + 0.7 * max(0.0, np.dot(normal, LIGHT)))
+            np.testing.assert_allclose(img.channels[:, h, w], expected, rtol=0, atol=1e-12)
+            depth, valid, color = oracle_frame(spec, 0, k8)
+            assert valid.all()
+            np.testing.assert_allclose(dense.depth, depth, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(img.channels, color, rtol=0, atol=1e-12)
+        assert round(0.8 * (0.3 + 0.7 * -LIGHT[0]), 4) == 0.4363
+        assert round(0.8 * (0.3 + 0.7 * -LIGHT[2]), 4) == 0.6998
+
+    def test_ray_parallel_to_slab_through_its_plane(self):
+        # row 3 has direction y = 0 and starts on the box's y = 0 plane, so
+        # its slab test is 0/0: those rays miss, the rows below hit the box
+        k8 = CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=3.0, width=8, height=6)
+        spec = single_primitive_scene(synth.Box([0.0, 1.0, 3.0], [1.0, 1.0, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            img, dense, _ = synth.render_frame(spec, 0, k8)
+        assert not dense.valid[:4].any()
+        np.testing.assert_array_equal(img.channels[:, :4], 0.0)
+        assert dense.valid[4:, 3:6].all()
+        np.testing.assert_allclose(dense.depth[4:, 3:6], 2.5, rtol=0, atol=1e-12)
 
     def test_background_invalid_and_dark(self):
         sphere = synth.Sphere([0.0, 0.0, 3.0], 0.4)
