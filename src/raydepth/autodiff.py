@@ -232,11 +232,12 @@ def tabs(x):
 
 
 def leaky_relu(x):
+    """``max(x, slope * x)``: for slope < 1 this is ``x * (1 if x > 0 else
+    slope)`` bit for bit, signed zeros included."""
     x = as_tensor(x)
-    factor = np.where(x.data > 0, 1.0, LEAKY_SLOPE)
     def backward(g):
-        return (g * factor,)
-    return _make(x.data * factor, (x,), backward)
+        return (g * np.where(x.data > 0, 1.0, LEAKY_SLOPE),)
+    return _make(np.maximum(x.data, LEAKY_SLOPE * x.data), (x,), backward)
 
 
 def clamp_min(x, lo):
@@ -263,16 +264,13 @@ def tsum(x, axis=None, keepdims=False):
 def tmax(x, axis, keepdims=False):
     """Maximum along one axis; gradient routes to the first maximal entry."""
     x = as_tensor(x)
-    idx = np.argmax(x.data, axis=axis)
-    out_data = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
     def backward(g):
+        idx = np.argmax(x.data, axis=axis)
         gx = np.zeros_like(x.data)
         gk = g if keepdims else np.expand_dims(g, axis)
         np.put_along_axis(gx, np.expand_dims(idx, axis), gk, axis=axis)
         return (gx,)
-    return _make(out_data, (x,), backward)
+    return _make(x.data.max(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 # -- shape manipulation ----------------------------------------------------
@@ -310,14 +308,6 @@ def getitem(x, key):
         np.add.at(gx, key, g)  # repeated fancy indices accumulate
         return (gx,)
     return _make(x.data[key], (x,), backward)
-
-
-def tile_leading(x, n):
-    """Replicate ``x`` along a new leading axis of extent ``n``."""
-    x = as_tensor(x)
-    def backward(g):
-        return (g.sum(axis=0),)
-    return _make(np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,), backward)
 
 
 def edge_pad2d(x):
@@ -365,7 +355,12 @@ def softmax_lastdim(x):
         raise ParameterError("softmax needs at least one entry on the last axis")
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax input contains non-finite values")
-    y = np.subtract(x.data, x.data.max(axis=-1, keepdims=True))
+    # the row max as an elementwise maximum over the last axis: numpy's max
+    # reduction is slow along a short contiguous axis
+    m = x.data[..., 0].copy()
+    for i in range(1, x.data.shape[-1]):
+        np.maximum(m, x.data[..., i], out=m)
+    y = np.subtract(x.data, m[..., None])
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     def backward(g):
@@ -381,9 +376,12 @@ def weighted_gather(x, indices, weights):
     pattern is constant; only ``x`` receives a gradient.
     """
     x = as_tensor(x)
-    out = np.zeros((indices.shape[1], x.data.shape[1]))
-    for k in range(indices.shape[0]):
-        out += weights[k][:, None] * x.data[indices[k]]
+    out = np.take(x.data, indices[0], axis=0)
+    out *= weights[0][:, None]
+    for k in range(1, indices.shape[0]):
+        rows = np.take(x.data, indices[k], axis=0)
+        rows *= weights[k][:, None]
+        out += rows
     def backward(g):
         gx = np.zeros_like(x.data)
         for k in range(indices.shape[0]):

@@ -150,14 +150,13 @@ def extract_image_features(img, params, widths, downscale):
 
 
 def assemble_feature_volume(vo, vr, vi):
-    """Stack occupancy, residual, and (plane-replicated) image features."""
-    d = vo.shape[0]
+    """The (D, 2, H, W) occupancy and residual volume, and the (C, H, W)
+    image features, which are the same on every plane and stay untiled."""
     if vo.shape[2:] != vr.shape[2:] or vo.shape[2:] != vi.shape[1:]:
         raise DimensionError(
             f"spatial extents disagree: occupancy {vo.shape}, residual {vr.shape}, image {vi.shape}"
         )
-    tiled = ad.tile_leading(vi, d)
-    return ad.concat([vo, vr, tiled], axis=1)
+    return ad.concat([vo, vr], axis=1), vi
 
 
 # -- 3-D U-Net encoder ---------------------------------------------------------
@@ -183,15 +182,40 @@ def add_unet_params(store, rng, cin, channels):
     conv("out", c, c)
 
 
-def encode_cost_volume(feat, params, planes):
-    """Two-level 3-D U-Net over the (D, Cin, H', W') feature volume.
+def first_layer(sparse, image, weight, bias):
+    """The U-Net's first layer, ``conv3d`` over the sparse channels stacked
+    with the image channels tiled over every plane, computed without tiling.
+
+    The image part of plane ``d`` is a 2-D correlation with the sum of the
+    depth taps that land inside the volume, so the planes fall into classes
+    by the taps they take (first, interior and last plane for k = 3); one
+    ``conv2d`` computes every class's map and each plane adds its class's
+    map to the sparse channels' conv3d.
+    ``sparse`` is (Cs, D, H, W), ``image`` (Ci, H, W) and ``weight``
+    (Cout, Cs + Ci, k, k, k), with the sparse channels first.
+    """
+    cs, d = sparse.shape[:2]
+    cout, k = weight.shape[0], weight.shape[2]
+    taps = [range(max(0, k // 2 - i), min(k, d + k // 2 - i)) for i in range(d)]
+    classes = list(dict.fromkeys(taps))
+    kernels = ad.concat([weight[:, cs:, t.start : t.stop].sum(axis=2) for t in classes], axis=0)
+    maps = ad.conv2d(image, kernels, np.zeros(len(classes) * cout))
+    maps = maps.reshape(len(classes), cout, *image.shape[1:])[[classes.index(t) for t in taps]]
+    return ad.conv3d(sparse, weight[:, :cs], bias) + ad.transpose(maps, (1, 0, 2, 3))
+
+
+def encode_cost_volume(sparse, image, params, planes):
+    """Two-level 3-D U-Net over the (D, Cs, H', W') sparse volume stacked
+    with the (Ci, H', W') image features on every plane.
 
     Downsampling acts on the image axes only, so the plane count is
     unconstrained; H' and W' must be divisible by 4.
     """
-    d, cin, h, w = feat.shape
+    h, w = sparse.shape[2:]
     if h % 4 or w % 4:
         raise DimensionError(f"volume extents {h}x{w} must be divisible by 4")
+    if image.shape[1:] != (h, w):
+        raise DimensionError(f"image features {image.shape} do not match volume {sparse.shape}")
 
     def conv(x, name, stride=1):
         return ad.conv3d(x, params[f"unet.{name}.weight"], params[f"unet.{name}.bias"], stride=stride)
@@ -199,8 +223,8 @@ def encode_cost_volume(feat, params, planes):
     def up(x, name):
         return ad.conv_transpose3d(x, params[f"unet.{name}.weight"], params[f"unet.{name}.bias"])
 
-    x = ad.transpose(feat, (1, 0, 2, 3))
-    h0 = leaky_relu(conv(x, "enc0"))
+    x = ad.transpose(sparse, (1, 0, 2, 3))
+    h0 = leaky_relu(first_layer(x, image, params["unet.enc0.weight"], params["unet.enc0.bias"]))
     h1 = leaky_relu(conv(h0, "enc1", stride=(1, 2, 2)))
     h2 = leaky_relu(conv(h1, "enc2", stride=(1, 2, 2)))
     mid = leaky_relu(conv(h2, "mid"))

@@ -68,8 +68,8 @@ def forward_frame(img, sparse, pose, state, params, cfg, K):
     occupancy = cv.build_occupancy_volume(s_vol, planes)
     residual = cv.build_residual_volume(s_vol, planes)
     image_feat = cv.extract_image_features(img, params, cfg.image_channels, cfg.downscale)
-    feat = cv.assemble_feature_volume(occupancy, residual, image_feat)
-    current = cv.encode_cost_volume(feat, params, planes)
+    sparse_feat, image_feat = cv.assemble_feature_volume(occupancy, residual, image_feat)
+    current = cv.encode_cost_volume(sparse_feat, image_feat, params, planes)
 
     previous = None
     if cfg.mode == "fused" and state is not None:

@@ -439,12 +439,11 @@ class TestElementwiseAndShape:
         arrays = {"x": rng.normal(size=(3, 4)) + 0.1}
         assert fd_check(build, arrays) < 1e-4
 
-    def test_concat_tile_transpose_gradients(self):
+    def test_concat_transpose_gradients(self):
         rng = np.random.default_rng(12)
         arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 2))}
         err = fd_check(
             lambda s: ad.concat([s["a"], s["b"]], axis=1).sum()
-            + ad.tile_leading(s["a"], 3).sum()
             + ad.transpose(s["a"], (1, 0)).sum(),
             arrays,
         )
@@ -482,6 +481,93 @@ class TestElementwiseAndShape:
         out = ad.edge_pad2d(x)
         np.testing.assert_array_equal(out.data[0], [0, 0, 1, 2, 2])
         np.testing.assert_array_equal(out.data[-1], [3, 3, 4, 5, 5])
+
+
+def assert_bitwise(got, want):
+    """Same shape and the same 64 bits in every entry (signed zeros differ)."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestForwardFormulas:
+    """Each forward against the numpy formula it replaced, bit for bit."""
+
+    @staticmethod
+    def softmax_formula(x):
+        y = np.subtract(x, x.max(axis=-1, keepdims=True))
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        return y
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: rng.normal(size=(5, 7)) * 10,
+            lambda rng: rng.normal(size=(6, 4, 16)) * 30,
+            # a transposed, non-contiguous input, as regression passes it
+            lambda rng: rng.normal(size=(16, 6, 5)).transpose(1, 2, 0) * 10,
+            lambda rng: rng.normal(size=(3, 4, 1)),
+            lambda rng: np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [1e300, -1e300, 0.0]]),
+            lambda rng: rng.integers(-2, 3, size=(8, 9)).astype(np.float64),
+        ],
+        ids=["rows", "attention", "transposed", "length-1", "zeros-and-extremes", "ties"],
+    )
+    def test_softmax_matches_max_reduction_form(self, make):
+        x = make(np.random.default_rng(40))
+        assert_bitwise(ad.softmax_lastdim(ad.Tensor(x)).data, self.softmax_formula(x))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_tmax_matches_argmax_take_with_ties(self, axis, keepdims):
+        rng = np.random.default_rng(41)
+        x = rng.integers(0, 3, size=(5, 4, 6)).astype(np.float64)  # many ties
+        x[1, 2, :] = 7.0  # a whole tied row
+        idx = np.expand_dims(np.argmax(x, axis=axis), axis)
+        want = np.take_along_axis(x, idx, axis=axis)
+        t = ad.Tensor(x, requires_grad=True)
+        out = ad.tmax(t, axis=axis, keepdims=keepdims)
+        assert_bitwise(out.data, want if keepdims else np.squeeze(want, axis))
+        out.sum().backward()
+        # each slice's gradient goes to its first maximal entry only
+        expected = np.zeros_like(x)
+        np.put_along_axis(expected, idx, 1.0, axis=axis)
+        assert_bitwise(t.grad, expected)
+
+    def test_leaky_relu_matches_factor_form(self):
+        rng = np.random.default_rng(42)
+        x = np.concatenate(
+            [
+                rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, size=50),
+                [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0],
+            ]
+        )
+        want = x * np.where(x > 0, 1.0, ad.LEAKY_SLOPE)
+        out = ad.leaky_relu(ad.Tensor(x, requires_grad=True))
+        assert_bitwise(out.data, want)
+        assert np.signbit(out.data[51]) and not np.signbit(out.data[50])
+        (gx,) = out.op[1](np.ones_like(x))
+        assert_bitwise(gx, np.where(x > 0, 1.0, ad.LEAKY_SLOPE))
+
+    def test_weighted_gather_matches_zero_initialised_sum(self):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(6, 5))
+        x[2] = -np.abs(x[2])
+        idx = rng.integers(0, 6, size=(8, 40))
+        idx[:, :6] = 3  # every corner on one row
+        idx[:4, 6] = idx[4:, 6] = 1  # repeated pairs
+        w = rng.uniform(size=(8, 40))
+        w[:, 7] = 0.0  # a column of zero weights ...
+        idx[:, 7] = 2  # ... on negative entries: every product is -0.0
+        want = np.zeros((40, 5))
+        for k in range(8):
+            want += w[k][:, None] * x[idx[k]]
+        got = ad.weighted_gather(ad.Tensor(x), idx, w).data
+        # the zero-initialised sum turns an all -0.0 sum into +0.0; every
+        # other entry has the same bits
+        zero = (got == 0) & (want == 0)
+        assert zero[7].all() and np.signbit(got[7]).all()
+        assert_bitwise(np.where(zero, 0.0, got), np.where(zero, 0.0, want))
 
 
 class TestRandomizedShapes:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from raydepth import autodiff as ad
 from raydepth import cost_volume as cv
 from raydepth.errors import DimensionError, NumericError, ParameterError
-from raydepth.geometry import make_planes
+from raydepth.geometry import DepthPlaneSet, make_planes
 
 PLANES = make_planes(4, 1.0, 4.0)
 
@@ -163,23 +163,24 @@ class TestImageEncoder:
 
 class TestAssembly:
     def test_channel_layout_and_replication(self):
+        # the image features come back once, not replicated over the planes
         rng = np.random.default_rng(4)
         vo = ad.Tensor(rng.uniform(size=(4, 1, 3, 5)))
         vr = ad.Tensor(rng.uniform(size=(4, 1, 3, 5)))
         vi = ad.Tensor(rng.uniform(size=(6, 3, 5)))
-        out = cv.assemble_feature_volume(vo, vr, vi).data
-        assert out.shape == (4, 8, 3, 5)
-        np.testing.assert_array_equal(out[:, 0], vo.data[:, 0])
-        np.testing.assert_array_equal(out[:, 1], vr.data[:, 0])
-        for i in range(4):
-            np.testing.assert_array_equal(out[i, 2:], vi.data)
+        sparse, image = cv.assemble_feature_volume(vo, vr, vi)
+        assert sparse.shape == (4, 2, 3, 5)
+        np.testing.assert_array_equal(sparse.data[:, 0], vo.data[:, 0])
+        np.testing.assert_array_equal(sparse.data[:, 1], vr.data[:, 0])
+        assert image.shape == (6, 3, 5)
+        np.testing.assert_array_equal(image.data, vi.data)
 
     def test_single_plane_is_plain_concat(self):
         vo = ad.Tensor(np.ones((1, 1, 2, 2)))
         vr = ad.Tensor(np.zeros((1, 1, 2, 2)))
         vi = ad.Tensor(np.full((2, 2, 2), 0.5))
-        out = cv.assemble_feature_volume(vo, vr, vi).data
-        assert out.shape == (1, 4, 2, 2)
+        sparse, image = cv.assemble_feature_volume(vo, vr, vi)
+        assert sparse.shape == (1, 2, 2, 2) and image.shape == (2, 2, 2)
 
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -190,50 +191,146 @@ class TestAssembly:
             )
 
 
-class TestUNet:
-    def _params(self, cin, c, seed=0):
-        store = ad.ParameterStore()
-        cv.add_unet_params(store, np.random.default_rng(seed), cin, c)
-        return store
+def unet_params(cin, c, seed=0):
+    store = ad.ParameterStore()
+    cv.add_unet_params(store, np.random.default_rng(seed), cin, c)
+    return store
 
+
+def tiled(sparse, image):
+    """The dense (D, Cs + Ci, H, W) volume: image features on every plane."""
+    d = sparse.shape[0]
+    image = ad.as_tensor(image).reshape((1,) + image.shape)
+    return ad.concat([sparse, ad.concat([image] * d, axis=0)], axis=1)
+
+
+def oracle_encode(sparse, image, params):
+    """The U-Net run as plain conv3d layers on the tiled volume."""
+
+    def conv(x, name, stride=1):
+        return ad.conv3d(x, params[f"unet.{name}.weight"], params[f"unet.{name}.bias"], stride=stride)
+
+    def up(x, name):
+        return ad.conv_transpose3d(x, params[f"unet.{name}.weight"], params[f"unet.{name}.bias"])
+
+    x = ad.transpose(tiled(sparse, image), (1, 0, 2, 3))
+    h0 = ad.leaky_relu(conv(x, "enc0"))
+    h1 = ad.leaky_relu(conv(h0, "enc1", stride=(1, 2, 2)))
+    h2 = ad.leaky_relu(conv(h1, "enc2", stride=(1, 2, 2)))
+    mid = ad.leaky_relu(conv(h2, "mid"))
+    u1 = ad.leaky_relu(up(mid, "up1") + h1)
+    u0 = ad.leaky_relu(up(u1, "up0") + h0)
+    return ad.transpose(conv(u0, "out"), (1, 0, 2, 3))
+
+
+def relative(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestFirstLayer:
+    """The untiled first layer and the whole encoder against the tiled
+    conv3d oracle, values and gradients."""
+
+    CHANNELS, IMAGE_CHANNELS, H, W = 5, 6, 8, 12
+
+    def _inputs(self, d, seed):
+        rng = np.random.default_rng(seed)
+        store = unet_params(2 + self.IMAGE_CHANNELS, self.CHANNELS, seed=seed)
+        for path, p in store.items():
+            if path.endswith(".bias"):
+                p.data[...] = rng.normal(size=p.shape)
+        store.add("sparse", rng.normal(size=(d, 2, self.H, self.W)))
+        store.add("image", rng.normal(size=(self.IMAGE_CHANNELS, self.H, self.W)))
+        weights = rng.normal(size=(d, self.CHANNELS, self.H, self.W))
+        return store, weights
+
+    def _gradients(self, loss, store):
+        store.zero_grad()
+        loss.backward()
+        return {path: p.grad for path, p in store.items()}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_first_layer_matches_tiled_conv3d(self, d):
+        store, _ = self._inputs(d, seed=20 + d)
+        weight, bias = store["unet.enc0.weight"], store["unet.enc0.bias"]
+        rng = np.random.default_rng(d)
+        g = rng.normal(size=(self.CHANNELS, d, self.H, self.W))
+
+        def run(layer):
+            out = layer()
+            return out.data, self._gradients((out * g).sum(), store)
+
+        got, got_grads = run(
+            lambda: cv.first_layer(ad.transpose(store["sparse"], (1, 0, 2, 3)), store["image"], weight, bias)
+        )
+        want, want_grads = run(
+            lambda: ad.conv3d(ad.transpose(tiled(store["sparse"], store["image"]), (1, 0, 2, 3)), weight, bias)
+        )
+        assert relative(got, want) < 1e-13
+        for path in ("unet.enc0.weight", "unet.enc0.bias", "sparse", "image"):
+            assert relative(got_grads[path], want_grads[path]) < 1e-12, path
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_encoder_matches_tiled_oracle(self, d):
+        store, weights = self._inputs(d, seed=30 + d)
+        # make_planes needs two planes; the encoder only reads the count
+        planes = DepthPlaneSet(d, 1.0, 4.0, np.linspace(1.0, 4.0, d))
+
+        got = cv.encode_cost_volume(store["sparse"], store["image"], store, planes).features
+        got_grads = self._gradients((got * weights).sum(), store)
+        want = oracle_encode(store["sparse"], store["image"], store)
+        want_grads = self._gradients((want * weights).sum(), store)
+
+        assert relative(got.data, want.data) < 1e-13
+        assert set(got_grads) == set(want_grads)
+        for path in got_grads:
+            assert relative(got_grads[path], want_grads[path]) < 1e-12, path
+
+
+class TestUNet:
     def test_shape_contract(self):
         planes = make_planes(16, 0.5, 8.0)
-        feat = ad.Tensor(np.random.default_rng(5).normal(size=(16, 5, 12, 16)))
-        out = cv.encode_cost_volume(feat, self._params(5, 6), planes)
+        rng = np.random.default_rng(5)
+        sparse = ad.Tensor(rng.normal(size=(16, 2, 12, 16)))
+        image = ad.Tensor(rng.normal(size=(3, 12, 16)))
+        out = cv.encode_cost_volume(sparse, image, unet_params(5, 6), planes)
         assert out.features.shape == (16, 6, 12, 16)
 
     def test_zero_parameters_zero_volume(self):
-        store = ad.ParameterStore()
-        cv.add_unet_params(store, np.random.default_rng(0), 3, 4)
+        store = unet_params(3, 4)
         for _, p in store.items():
             p.data[...] = 0.0
-        feat = ad.Tensor(np.random.default_rng(6).normal(size=(4, 3, 4, 4)))
-        out = cv.encode_cost_volume(feat, store, PLANES)
+        rng = np.random.default_rng(6)
+        sparse = ad.Tensor(rng.normal(size=(4, 2, 4, 4)))
+        image = ad.Tensor(rng.normal(size=(1, 4, 4)))
+        out = cv.encode_cost_volume(sparse, image, store, PLANES)
         np.testing.assert_array_equal(out.features.data, 0.0)
 
     def test_indivisible_extents_rejected(self):
-        feat = ad.Tensor(np.zeros((4, 3, 6, 8)))
         with pytest.raises(DimensionError):
-            cv.encode_cost_volume(feat, self._params(3, 4), PLANES)
+            cv.encode_cost_volume(
+                ad.Tensor(np.zeros((4, 2, 6, 8))), ad.Tensor(np.zeros((1, 6, 8))), unet_params(3, 4), PLANES
+            )
 
     def test_gradients_match_finite_differences(self):
-        store = self._params(4, 4, seed=7)
+        store = unet_params(4, 4, seed=7)
         rng = np.random.default_rng(8)
         feat_store = ad.ParameterStore()
-        feat_store.add("feat", rng.normal(size=(4, 4, 4, 4)))
+        feat_store.add("sparse", rng.normal(size=(4, 2, 4, 4)))
+        feat_store.add("image", rng.normal(size=(2, 4, 4)))
         for path, p in store.items():
             feat_store.add(path, p.data)
         w = rng.normal(size=(4, 4, 4, 4))
 
         def f(s):
-            out = cv.encode_cost_volume(s["feat"], s, PLANES)
+            out = cv.encode_cost_volume(s["sparse"], s["image"], s, PLANES)
             return (out.features * w).sum()
 
         assert ad.gradient_check(f, feat_store) < 1e-4
 
     def test_feature_volume_translation_consistency(self):
         # shifting image and sparse map by the downscale factor shifts the
-        # assembled feature volume by one cell on interior cells
+        # sparse volume and the image features by one cell on interior cells
         widths, r = (2, 2, 2), 4
         store = ad.ParameterStore()
         cv.add_image_encoder_params(store, np.random.default_rng(9), widths)
@@ -248,12 +345,14 @@ class TestUNet:
             vo = cv.build_occupancy_volume(s, PLANES)
             vr = cv.build_residual_volume(s, PLANES)
             vi = cv.extract_image_features(img, store, widths, r)
-            return cv.assemble_feature_volume(vo, vr, vi).data
+            sparse, image = cv.assemble_feature_volume(vo, vr, vi)
+            return sparse.data, image.data
 
-        ref = build(base, depth, valid)
-        shifted = build(
+        ref_sparse, ref_image = build(base, depth, valid)
+        shifted_sparse, shifted_image = build(
             np.roll(base, r, axis=2), np.roll(depth, r, axis=1), np.roll(valid, r, axis=1)
         )
         # interior cells: stay clear of the wrap column and the encoder's
         # receptive-field reach (13 full-res pixels ~ 4 cells)
-        np.testing.assert_allclose(shifted[:, :, :, 5:-5], ref[:, :, :, 4:-6], atol=1e-12)
+        np.testing.assert_allclose(shifted_sparse[..., 5:-5], ref_sparse[..., 4:-6], atol=1e-12)
+        np.testing.assert_allclose(shifted_image[..., 5:-5], ref_image[..., 4:-6], atol=1e-12)

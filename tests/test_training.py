@@ -1,6 +1,8 @@
 """Soft labels, losses, the AdamW update, checkpoints, and a short
 end-to-end training smoke run."""
 
+import collections
+import hashlib
 import io
 import pickle
 import re
@@ -17,6 +19,7 @@ from raydepth.config import OptimizerConfig, RunConfig, PlanesConfig
 from raydepth.cost_volume import SparseDepthMap
 from raydepth.errors import CheckpointError, EmptySupervisionError, TrainingError
 from raydepth.geometry import make_planes
+from raydepth.pipeline import init_parameters
 from raydepth.regression import DepthMap, ProbabilityVolume
 
 PLANES = make_planes(4, 1.0, 4.0)
@@ -223,6 +226,25 @@ class TestCheckpoint:
         b.add("other", np.ones(2))
         with pytest.raises(CheckpointError, match="present.*other"):
             tr.check_same_parameters(a, b)
+
+    def test_default_model_layout_is_pinned(self, tmp_path):
+        """A checkpoint holds each parameter's path and shape, so archives
+        written by earlier versions load as long as this layout holds."""
+        params = init_parameters(RunConfig())
+        sizes = collections.Counter()
+        for path, p in params.items():
+            sizes[path.split(".")[0]] += p.size
+        assert len(params) == 42 and sum(sizes.values()) == 113_688
+        assert sizes == {"unet": 88_400, "fusion": 16_928, "head": 6_928, "refine": 1_024, "encoder": 408}
+        assert params["unet.enc0.weight"].shape == (16, 14, 3, 3, 3)
+        # SHA-256 of one "path shape" line per parameter, in path order
+        layout = "".join(f"{path} {p.shape}\n" for path, p in params.items())
+        assert hashlib.sha256(layout.encode()).hexdigest() == (
+            "491d2093286ae9ba01f477e29106007eb698d2186d47cddafe18b782c282cc68"
+        )
+        path = tmp_path / "ck.npz"
+        tr.save_checkpoint(path, params)
+        tr.check_same_parameters(init_parameters(RunConfig()), tr.load_checkpoint(path))
 
 
 def saved_bytes(save, *args, **kwargs):
