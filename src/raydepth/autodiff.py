@@ -225,9 +225,8 @@ def tlog(x):
 
 def tabs(x):
     x = as_tensor(x)
-    sign = np.sign(x.data)
     def backward(g):
-        return (g * sign,)
+        return (g * np.sign(x.data),)
     return _make(np.abs(x.data), (x,), backward)
 
 
@@ -242,9 +241,8 @@ def leaky_relu(x):
 
 def clamp_min(x, lo):
     x = as_tensor(x)
-    mask = (x.data > lo).astype(np.float64)
     def backward(g):
-        return (g * mask,)
+        return (g * (x.data > lo).astype(np.float64),)
     return _make(np.maximum(x.data, lo), (x,), backward)
 
 
@@ -286,17 +284,15 @@ def reshape(x, shape):
 
 def transpose(x, axes):
     x = as_tensor(x)
-    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     def backward(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, tuple(sorted(range(len(axes)), key=axes.__getitem__))),)
     return _make(np.transpose(x.data, axes), (x,), backward)
 
 
 def concat(tensors, axis):
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
     def backward(g):
+        offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, offsets, axis=axis))
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 

@@ -98,11 +98,8 @@ def build_occupancy_volume(s, planes):
     """One-hot plane occupancy per valid pixel; ties go to the lower plane."""
     dist = np.abs(s.depth[None, :, :] - planes.depths[:, None, None])
     nearest = np.argmin(dist, axis=0)
-    occ = np.zeros((planes.count, 1, s.height, s.width))
-    ii, hh = np.meshgrid(np.arange(s.height), np.arange(s.width), indexing="ij")
-    occ[nearest[ii, hh], 0, ii, hh] = 1.0
-    occ[:, 0, ~s.valid] = 0.0
-    return Tensor(occ)
+    occ = (np.arange(planes.count)[:, None, None] == nearest) & s.valid
+    return Tensor(occ[:, None])
 
 
 def build_residual_volume(s, planes):

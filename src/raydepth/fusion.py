@@ -11,6 +11,8 @@ D x D per ray -- D^2 * H * W entries per frame -- instead of the
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +47,25 @@ class ScoreAllocationMeter:
 score_meter = ScoreAllocationMeter()
 
 
-def depth_positional_encoding(count, dim):
-    """Sinusoidal encoding of plane indices 0..count-1 into ``dim`` channels."""
-    if dim % 2 != 0:
-        raise ParameterError(f"positional encoding needs an even channel count, got {dim}")
+@functools.lru_cache(maxsize=16)
+def _encoding_table(count, dim):
+    """The read-only (count, dim) table of :func:`depth_positional_encoding`."""
     pos = np.arange(count)[:, None]
     j = np.arange(dim // 2)[None, :]
     angle = pos / np.power(10000.0, 2.0 * j / dim)
     pe = np.empty((count, dim))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
-    return Tensor(pe)
+    pe.flags.writeable = False
+    return pe
+
+
+def depth_positional_encoding(count, dim):
+    """Sinusoidal encoding of plane indices 0..count-1 into ``dim`` channels:
+    a fresh untracked Tensor over a shared read-only table."""
+    if dim % 2 != 0:
+        raise ParameterError(f"positional encoding needs an even channel count, got {dim}")
+    return Tensor(_encoding_table(count, dim))
 
 
 @dataclass(eq=False)
@@ -88,7 +98,7 @@ def attention(q, k, v, params):
     v2 = ad.matmul(v, params.wv)
     scores = ad.matmul(q2, ad.transpose(k2, tuple(range(k2.ndim - 2)) + (k2.ndim - 1, k2.ndim - 2)))
     scores = scores * (1.0 / np.sqrt(c))
-    score_meter.record(scores.size, int(np.prod(scores.shape[:-2], dtype=np.int64)))
+    score_meter.record(scores.size, math.prod(scores.shape[:-2]))
     weights = ad.softmax_lastdim(scores)
     return ad.matmul(ad.matmul(weights, v2), params.wo)
 

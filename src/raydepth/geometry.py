@@ -56,7 +56,7 @@ class Pose:
             raise DimensionError("pose needs a 3x3 rotation and a 3-vector translation")
         if not (np.isfinite(r).all() and np.isfinite(self.translation).all()):
             raise NumericError("pose rotation and translation must be finite")
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-9):
+        if np.abs(r.T @ r - np.eye(3)).max() > 1e-9:
             raise ParameterError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ParameterError("rotation determinant is not +1 within 1e-9")
@@ -119,6 +119,8 @@ def relative_pose(current, previous):
 
 # Sample coordinates this close to an integer are snapped onto it.
 _SNAP_TOL = 1e-9
+# Offsets of a trilinear cell's lower and upper corner along one axis.
+_CORNER_STEP = np.array([[0], [1]])
 
 
 def _snap_integers(coords):
@@ -151,32 +153,23 @@ def warp_coordinates(shape, cur_to_prev, K, planes):
         & (zp >= planes.d_min) & (zp <= planes.d_max)
     )
 
-    def corner(coord, extent):
+    def corners(coord, extent):
+        """Lower and upper corner index along one axis, (2, n), and weights."""
         i0 = np.clip(np.floor(coord), 0, max(extent - 2, 0)).astype(np.int64)
         frac = np.clip(coord - i0, 0.0, 1.0)
-        return i0, frac
+        return np.minimum(i0 + _CORNER_STEP, extent - 1), np.stack([1.0 - frac, frac])
 
-    p0, pf = corner(fp, d)
-    v0, vf = corner(vp, h)
-    u0, uf = corner(up, w)
+    pi, pw = corners(fp, d)
+    vi, vw = corners(vp, h)
+    ui, uw = corners(up, w)
+    # corner k = 4*dp + 2*dv + du is entry [dp, dv, du] of a (2, 2, 2, n) grid
     n = d * h * w
-    indices = np.empty((8, n), dtype=np.int64)
-    weights = np.empty((8, n))
-    vmask = valid.astype(np.float64)
-    for k, (dp, dv, du) in enumerate(
-        [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    ):
-        pi = np.minimum(p0 + dp, d - 1)
-        vi = np.minimum(v0 + dv, h - 1)
-        ui = np.minimum(u0 + du, w - 1)
-        indices[k] = (pi * h + vi) * w + ui
-        wk = (
-            (pf if dp else 1.0 - pf)
-            * (vf if dv else 1.0 - vf)
-            * (uf if du else 1.0 - uf)
-        )
-        weights[k] = wk * vmask
-    return indices, weights, valid.reshape(d, h, w)
+    indices = np.empty((2, 2, 2, n), dtype=np.int64)
+    np.add(((pi * h)[:, None] + vi[None, :])[:, :, None] * w, ui, out=indices)
+    weights = np.empty((2, 2, 2, n))
+    np.multiply((pw[:, None] * vw[None, :])[:, :, None], uw, out=weights)
+    weights *= valid
+    return indices.reshape(8, n), weights.reshape(8, n), valid.reshape(d, h, w)
 
 
 def align_volume(v, cur_to_prev, K, planes):

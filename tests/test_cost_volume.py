@@ -47,7 +47,31 @@ class TestTypes:
             cv.CostVolume(PLANES, ad.Tensor(np.zeros((3, 2, 4, 4))))
 
 
+def scatter_occupancy(s, planes):
+    """One-hot occupancy by scattering ones at each pixel's nearest plane:
+    the oracle of ``build_occupancy_volume``'s plane-index comparison."""
+    nearest = np.argmin(np.abs(s.depth[None, :, :] - planes.depths[:, None, None]), axis=0)
+    occ = np.zeros((planes.count, 1, s.height, s.width))
+    ii, hh = np.meshgrid(np.arange(s.height), np.arange(s.width), indexing="ij")
+    occ[nearest[ii, hh], 0, ii, hh] = 1.0
+    occ[:, 0, ~s.valid] = 0.0
+    return occ
+
+
 class TestOccupancy:
+    def test_matches_scatter_oracle_bitwise(self):
+        rng = np.random.default_rng(4)
+        depth = rng.uniform(0.5, 4.5, (6, 8))
+        depth[0, :3] = [1.5, 2.5, 3.5]  # exactly between two planes: the lower one wins
+        valid = rng.random((6, 8)) < 0.7
+        valid[0, :3] = True
+        s = sparse_map(depth, valid)
+        occ = cv.build_occupancy_volume(s, PLANES).data
+        want = scatter_occupancy(s, PLANES)
+        assert occ.dtype == want.dtype and occ.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(occ[:, 0, 0, :3], np.eye(4)[:, :3])
+        assert not valid.all() and not occ[:, 0, ~valid].any()
+
     def test_exact_plane_hit(self):
         s = sparse_map([[2.0]], [[True]])
         occ = cv.build_occupancy_volume(s, PLANES).data

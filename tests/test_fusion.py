@@ -74,6 +74,13 @@ class TestPositionalEncoding:
         with pytest.raises(ParameterError):
             fusion.depth_positional_encoding(4, 5)
 
+    def test_each_call_gives_a_fresh_tensor_over_read_only_values(self):
+        a, b = fusion.depth_positional_encoding(8, 6), fusion.depth_positional_encoding(8, 6)
+        assert a is not b and not a.requires_grad
+        assert a.data.tobytes() == b.data.tobytes()
+        with pytest.raises(ValueError):
+            a.data[0, 0] = 1.0
+
 
 class TestAttention:
     def test_single_token_identity_projections_returns_value(self):

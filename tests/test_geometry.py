@@ -1,6 +1,8 @@
 """Camera math and volume alignment, checked against closed-form formulas and
 an independent per-voxel trilinear warp oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from raydepth import autodiff as ad
 from raydepth import geometry as geo
+from raydepth import synth
 from raydepth.cost_volume import CostVolume
 from raydepth.errors import DimensionError, NumericError, ParameterError
 
@@ -64,6 +67,41 @@ def warp_oracle(vol, cur_to_prev, K, planes):
                             acc += wgt * vol[f0 + a, :, v0 + b, u0 + e]
                 out[i, :, hh, ww] = acc
     return out, valid
+
+
+def corner_loop_warp_coordinates(shape, cur_to_prev, K, planes):
+    """``warp_coordinates`` with one loop iteration per trilinear corner:
+    the bitwise oracle of the broadcast corner grid."""
+    d, h, w = shape
+    ii, hh, ww = np.meshgrid(np.arange(d), np.arange(h), np.arange(w), indexing="ij")
+    prev = cur_to_prev.apply(geo.backproject(ww, hh, planes.depths[ii], K).reshape(-1, 3))
+    up, vp, front = geo.project(prev, K)
+    zp = prev[:, 2]
+    fp = (zp - planes.d_min) / planes.spacing
+    up, vp, fp = geo._snap_integers(up), geo._snap_integers(vp), geo._snap_integers(fp)
+    valid = (
+        front
+        & (up >= 0) & (up <= w - 1)
+        & (vp >= 0) & (vp <= h - 1)
+        & (zp >= planes.d_min) & (zp <= planes.d_max)
+    )
+
+    def corner(coord, extent):
+        i0 = np.clip(np.floor(coord), 0, max(extent - 2, 0)).astype(np.int64)
+        return i0, np.clip(coord - i0, 0.0, 1.0)
+
+    (p0, pf), (v0, vf), (u0, uf) = corner(fp, d), corner(vp, h), corner(up, w)
+    indices = np.empty((8, d * h * w), dtype=np.int64)
+    weights = np.empty((8, d * h * w))
+    vmask = valid.astype(np.float64)
+    for k, (dp, dv, du) in enumerate(itertools.product((0, 1), repeat=3)):
+        pi = np.minimum(p0 + dp, d - 1)
+        vi = np.minimum(v0 + dv, h - 1)
+        ui = np.minimum(u0 + du, w - 1)
+        indices[k] = (pi * h + vi) * w + ui
+        wk = (pf if dp else 1.0 - pf) * (vf if dv else 1.0 - vf) * (uf if du else 1.0 - uf)
+        weights[k] = wk * vmask
+    return indices, weights, valid.reshape(d, h, w)
 
 
 class TestPlanes:
@@ -190,6 +228,12 @@ class TestRelativePose:
         with pytest.raises(ParameterError):
             geo.Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
+    def test_near_orthonormal_rotation_rejected(self):
+        # determinant exactly 1, but |R^T R - I| reaches 8.0e-6 on the diagonal
+        e = 1.0 + 4e-6
+        with pytest.raises(ParameterError):
+            geo.Pose(np.diag([e, 1.0 / e, 1.0]), np.zeros(3))
+
     def test_nan_translation_rejected(self):
         with pytest.raises(NumericError):
             geo.Pose(np.eye(3), [0.0, np.nan, 0.0])
@@ -278,6 +322,29 @@ class TestAlignVolume:
     def test_resolution_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             geo.align_volume(self._volume(), IDENTITY, K, self.planes)
+
+
+class TestWarpCoordinates:
+    @pytest.mark.parametrize("trajectory", ["lateral", "dolly", "orbit"])
+    def test_matches_corner_loop_bitwise(self, trajectory):
+        # 2x volumes: 128x96 frames at downscale 4, the default 16 planes
+        spec, k_img = synth.default_scene(0, width=128, height=96, frame_count=3, trajectory=trajectory, step=0.3)
+        k_vol = geo.scale_intrinsics(k_img, 4)
+        planes = geo.make_planes(16, 1e-3, 10.0)
+        shape = (16, k_vol.height, k_vol.width)
+        poses = [synth.camera_pose(spec, t) for t in range(3)]
+        any_invalid = False
+        # (1, 1) is the identity: every coordinate is snapped onto an integer
+        for cur, prev in ((1, 0), (2, 0), (0, 2), (1, 1)):
+            rel = geo.relative_pose(poses[cur], poses[prev])
+            got = geo.warp_coordinates(shape, rel, k_vol, planes)
+            want = corner_loop_warp_coordinates(shape, rel, k_vol, planes)
+            for g, e in zip(got, want):
+                assert g.dtype == e.dtype and g.shape == e.shape
+                assert g.tobytes() == e.tobytes()
+            any_invalid |= not got[2].all()
+            assert got[2].any()
+        assert any_invalid
 
 
 class TestCameraFile(object):

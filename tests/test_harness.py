@@ -23,6 +23,7 @@ from raydepth.config import (
 )
 from raydepth.cost_volume import SparseDepthMap
 from raydepth.errors import ConfigError, EmptyEvaluationError
+from raydepth.experiments import desk_config
 from raydepth.pipeline import init_parameters
 from raydepth.regression import DepthMap
 
@@ -307,6 +308,22 @@ class TestDrivers:
                     g = p.grad.reshape(-1)[i]
                     errors[f"{path}[{i}]"] = abs(g - fd) / max(1.0, abs(g), abs(fd))
         assert {k: e for k, e in errors.items() if e >= 1e-4} == {}
+
+    @pytest.mark.parametrize(
+        "make_cfg", [lambda: validate_config(RunConfig()), lambda: desk_config(refinement=True)],
+        ids=["default", "desk_refined"],
+    )
+    def test_every_parameter_tensor_but_the_prob_bias_gets_gradient(self, make_cfg):
+        # The pixel-shuffle head adds each head.prob.bias entry to every
+        # plane's logit of one sub-pixel, and the softmax over planes ignores
+        # that shift, so its gradient is rounding noise (about 4e-17).  The
+        # smallest live tensor, fusion.cross.wk, gets about 5e-6.
+        cfg = make_cfg()
+        params = init_parameters(cfg)
+        harness.gradcheck_loss_builder(cfg, n_frames=3)(params).backward()
+        largest = {path: 0.0 if p.grad is None else np.abs(p.grad).max() for path, p in params.items()}
+        assert largest.pop("head.prob.bias") < 1e-15
+        assert {path: g for path, g in largest.items() if g <= 1e-10} == {}
 
 
 class TestCli:

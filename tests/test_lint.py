@@ -1,5 +1,7 @@
 """Static checks that need only the standard library: every module-level
-import in ``src/raydepth``, ``scripts`` and ``tests`` is used by its module."""
+import in ``src/raydepth``, ``scripts`` and ``tests`` is used by its module,
+and every ``np.allclose``/``np.isclose`` in ``src/raydepth`` states its
+``rtol``."""
 
 import ast
 import pathlib
@@ -51,3 +53,33 @@ def test_checker_reports_only_unread_names():
 )
 def test_module_reads_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defaulted_rtol_calls(source):
+    """Lines of ``np.allclose``/``np.isclose`` calls that leave ``rtol`` at
+    numpy's default of 1e-5, which widens any ``atol`` by 1e-5 relative."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("allclose", "isclose")
+        and getattr(node.func.value, "id", None) in ("np", "numpy")
+        and not any(kw.arg == "rtol" for kw in node.keywords)
+    )
+
+
+def test_rtol_checker_reports_only_defaulted_calls():
+    source = (
+        "import numpy as np\n"
+        "np.allclose(a, b, atol=1e-9)\n"
+        "np.isclose(a, b, rtol=0.0, atol=1e-9)\n"
+        "numpy.isclose(a, b)\n"
+        "np.testing.assert_allclose(a, b)\n"
+    )
+    assert defaulted_rtol_calls(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_closeness_checks_state_rtol(path):
+    assert defaulted_rtol_calls(path.read_text()) == []
